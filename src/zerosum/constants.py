@@ -91,15 +91,13 @@ def longest_lacking(
     start = time.perf_counter()
     out = longest_lacking_search(group, criterion, opts, depth_cap=formula + 2)
     elapsed = (time.perf_counter() - start) * 1000.0
-    seqs = [Sequence(group, c) for c in out.sequences]
-    if not opts.collect_all and seqs:
-        seqs = seqs[:1]
+    kept = out.sequences if opts.collect_all else out.sequences[:1]
     return SearchReport(
         group=group,
         criterion=criterion,
         computed_constant=out.max_length + 1,
         formula_constant=formula,
-        extremal_examples=seqs,
+        extremal_examples=[Sequence(group, c) for c in kept],
         nodes_visited=out.nodes,
         elapsed_ms=elapsed,
         complete=out.complete,

@@ -1,9 +1,11 @@
 """The four zero-sum constraints and exact decision procedures for them.
 
-A decision runs on a reachability table ("which sums arise from subsequences
-of each length"), built by a bounded-knapsack pass over the support.  The
-table is exact, never approximate; every consumer of subsequence information
-goes through it rather than materializing 2^|S| subsets.
+Decisions run on exact reachability tables over (subsequence length, sum),
+never on the 2^|S| subsets.  The per-criterion stepper (_stepper) grows one
+term at a time and keeps only the rows its criterion needs; lacks(), the
+search DFS and exists_lacking_subsequence() run on it.  The length-indexed
+profile, a bounded-knapsack pass over the support, records every exact
+length; build_profile(), has_zero_sum_of_length() and witness() run on it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,63 @@ class Criterion(Enum):
         return range(exp, total + 1, exp)
 
 
+def _stepper(group: GroupSpec, criterion: Criterion):
+    """Per-criterion incremental state.
+
+    A state is a tuple of bitmask rows whose first entry is the "blocked"
+    set: appending e creates a forbidden zero-sum iff -e lies in it.  The
+    remaining entries carry what is needed to maintain that set: reachable
+    sums by subsequence length < exp for SHORT/EXACT_EXP, by length mod exp
+    (nonempty) for EXP_MULTIPLE, by any length for ANY.
+    """
+    tables = bit_tables(group)
+    parts = tables.parts
+    exp = group.exponent
+
+    if criterion is Criterion.ANY:
+
+        def push(state, e):
+            x = state[0]
+            return (x | shift_mask(x, parts[e]),)
+
+        return (1,), push
+
+    if criterion in (Criterion.SHORT, Criterion.EXACT_EXP):
+        short = criterion is Criterion.SHORT
+
+        def push(state, e):
+            rows = list(state[1:])
+            pe = parts[e]
+            for l in range(exp - 1, 0, -1):
+                x = rows[l - 1]
+                if x:
+                    rows[l] |= shift_mask(x, pe)
+            if short:
+                blocked = 0
+                for x in rows:
+                    blocked |= x
+            else:
+                blocked = rows[exp - 1]
+            return (blocked, *rows)
+
+        rows0 = (1,) + (0,) * (exp - 1)
+        return ((1 if short else rows0[exp - 1]), *rows0), push
+
+    def push(state, e):
+        mod = state[1:]
+        rows = list(mod)
+        pe = parts[e]
+        for r in range(exp):
+            x = mod[r]
+            if x:
+                rows[(r + 1) % exp] |= shift_mask(x, pe)
+        rows[1 % exp] |= 1 << e
+        blocked = rows[exp - 1] if exp > 1 else (rows[0] | 1)
+        return (blocked, *rows)
+
+    return ((0 if exp > 1 else 1,) + (0,) * exp), push
+
+
 @dataclass(frozen=True)
 class SumProfile:
     """Reachability table: entry (l, g) says some length-l subsequence sums to g.
@@ -69,44 +128,56 @@ class SumProfile:
         return bool((self.rows[length] >> elem.index) & 1)
 
 
-def build_profile(seq: Sequence, limit: int) -> SumProfile:
-    """Exact table of (length, sum) pairs reachable by subsequences of seq.
+def _knapsack_stages(seq: Sequence, limit: int):
+    """Fill the (length, sum) table with rows 0..limit, one support element at a time.
 
-    Each support element is incorporated one copy at a time (multiplicities
-    are small here; plain repetition beats binary splitting in simplicity).
+    Yields the live row list before the first support element (only the
+    empty subsequence) and after each one; a caller that keeps a stage
+    copies it.  Each copy of an element is incorporated separately
+    (multiplicities are small here; plain repetition beats binary splitting
+    in simplicity).
     """
-    if not 0 <= limit <= len(seq):
-        raise ValueError(f"profile limit {limit} must lie in [0, |S|] = [0, {len(seq)}]")
-    tables = bit_tables(seq.group)
+    parts = bit_tables(seq.group).parts
     rows = [0] * (limit + 1)
     rows[0] = 1
+    yield rows
     processed = 0
     for i, mult in enumerate(seq.counts):
         if not mult:
             continue
-        parts = tables.parts[i]
+        pe = parts[i]
         for _ in range(mult):
             processed += 1
             for l in range(min(limit - 1, processed - 1), -1, -1):
                 x = rows[l]
                 if x:
-                    rows[l + 1] |= shift_mask(x, parts)
+                    rows[l + 1] |= shift_mask(x, pe)
+        yield rows
+
+
+def build_profile(seq: Sequence, limit: int) -> SumProfile:
+    """Exact table of (length, sum) pairs reachable by subsequences of seq."""
+    if not 0 <= limit <= len(seq):
+        raise ValueError(f"profile limit {limit} must lie in [0, |S|] = [0, {len(seq)}]")
+    for rows in _knapsack_stages(seq, limit):
+        pass
     return SumProfile(seq.group, limit, tuple(rows))
 
 
-def _profile_limit(seq: Sequence, criterion: Criterion) -> int:
-    # EXACT_EXP and SHORT only ever read rows up to exp(G).
-    total = len(seq)
-    if criterion in (Criterion.SHORT, Criterion.EXACT_EXP):
-        return min(total, seq.group.exponent)
-    return total
-
-
 def lacks(seq: Sequence, criterion: Criterion) -> bool:
-    """True iff no subsequence T with sum 0 matches the criterion's lengths."""
-    exp = seq.group.exponent
-    profile = build_profile(seq, _profile_limit(seq, criterion))
-    return not any(profile.rows[l] & 1 for l in criterion.forbidden_lengths(exp, len(seq)))
+    """True iff no subsequence T with sum 0 matches the criterion's lengths.
+
+    Feeds the terms to the criterion's stepper in index order and stops at
+    the first term that would complete a forbidden zero-sum.
+    """
+    state, push = _stepper(seq.group, criterion)
+    neg = bit_tables(seq.group).neg
+    for e, mult in enumerate(seq.counts):
+        for _ in range(mult):
+            if (state[0] >> neg[e]) & 1:
+                return False
+            state = push(state, e)
+    return True
 
 
 def has_zero_sum_of_length(seq: Sequence, length: int) -> bool:
@@ -123,35 +194,20 @@ def has_zero_sum_of_length(seq: Sequence, length: int) -> bool:
 def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     """One concrete forbidden zero-sum subsequence, or None when lacks() holds.
 
-    Reruns the table construction stage by stage (one stage per support
-    element) and walks it backwards, deciding how many copies of each element
-    the witness takes.
+    Builds the profile up to the longest forbidden length, keeping its stage
+    after each support element; the witness length is the least forbidden
+    length reachable in the last stage.  Walking the stages backwards decides
+    how many copies of each element the witness takes.
     """
-    exp = seq.group.exponent
-    limit = _profile_limit(seq, criterion)
-    profile = build_profile(seq, limit)
-    target = next(
-        (l for l in criterion.forbidden_lengths(exp, len(seq)) if profile.rows[l] & 1),
-        None,
-    )
+    lengths = criterion.forbidden_lengths(seq.group.exponent, len(seq))
+    stages = [tuple(rows) for rows in _knapsack_stages(seq, lengths[-1] if lengths else 0)]
+    target = next((l for l in lengths if stages[-1][l] & 1), None)
     if target is None:
         return None
 
     tables = bit_tables(seq.group)
     add = add_table(seq.group)
     items = list(seq.items())
-    rows = [0] * (target + 1)
-    rows[0] = 1
-    stages = [tuple(rows)]
-    for e, mult in items:
-        parts = tables.parts[e.index]
-        for _ in range(mult):
-            for l in range(target - 1, -1, -1):
-                x = rows[l]
-                if x:
-                    rows[l + 1] |= shift_mask(x, parts)
-        stages.append(tuple(rows))
-
     need_l, need_idx = target, 0
     taken = [0] * len(items)
     for j in range(len(items) - 1, -1, -1):

@@ -262,6 +262,17 @@ def element_permutation(aut: Automorphism) -> tuple[int, ...]:
     return tuple(aut(g).index for g in aut.group.elements())
 
 
+@lru_cache(maxsize=None)
+def aut_permutations(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """Element permutations of the non-identity automorphisms.
+
+    Aut(G) is closed under inversion, so running over these permutations
+    also runs over their inverses.
+    """
+    identity = tuple(range(group.order))
+    return tuple(p for p in map(element_permutation, automorphisms(group)) if p != identity)
+
+
 def natural_projection(group: GroupSpec) -> tuple[GroupSpec, Callable[[Element], Element]]:
     """Quotient by H = {m*g : g in G}: C_m + C_mn -> C_m + C_m, (a, b) -> (a, b mod m).
 

@@ -20,7 +20,7 @@ reproduces a sequence, and an empty result is a finding, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -324,9 +324,8 @@ def enumerate_extremal(
     form), in deterministic order either way.
     """
     crit = Criterion.SHORT if kind is ExtremalKind.ETA else Criterion.EXACT_EXP
-    opts = replace(options or SearchOptions(), collect_all=True)
     target = formula_value(group, crit) - 1
-    out = longest_lacking_search(group, crit, opts, depth_cap=target + 3)
+    out = longest_lacking_search(group, crit, options, depth_cap=target + 3)
     if out.complete and out.max_length != target:
         raise RuntimeError(
             f"extremal search reached length {out.max_length}, expected {target}"
@@ -473,18 +472,17 @@ def _check_invcyc(n: int, options: Optional[SearchOptions] = None) -> CheckResul
     if n < 1:
         raise ValueError("invcyc needs n >= 1")
     group = GroupSpec.cyclic(n)
-    opts = replace(options or SearchOptions(), collect_all=True)
     nodes = 0
     complete = True
 
-    out_any = longest_lacking_search(group, Criterion.ANY, opts, depth_cap=n + 2)
+    out_any = longest_lacking_search(group, Criterion.ANY, options, depth_cap=n + 2)
     nodes += out_any.nodes
     complete = complete and out_any.complete
     got_any = {Sequence(group, c) for c in out_any.sequences}
     generators = [e for e in group.elements() if order_of(e) == n]
     pred_any = {Sequence.from_items(group, [(e, n - 1)]) for e in generators}
 
-    out_s = longest_lacking_search(group, Criterion.EXACT_EXP, opts, depth_cap=2 * n + 1)
+    out_s = longest_lacking_search(group, Criterion.EXACT_EXP, options, depth_cap=2 * n + 1)
     nodes += out_s.nodes
     complete = complete and out_s.complete
     got_s = {Sequence(group, c) for c in out_s.sequences}

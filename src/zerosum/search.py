@@ -18,18 +18,23 @@ Two optional reductions shrink the tree without changing any result:
 
 Whenever a reduction is on, the collected maximal set is re-expanded over the
 orbit before reporting, so all option combinations return identical results.
+
+Each node extends its parent's state by one push of the criterion's stepper
+(criteria._stepper); exists_lacking_subsequence() runs the same DFS over the
+sub-multisets of one sequence, down to a target length.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable, Optional
 
-from ._bits import apply_index_permutation, bit_tables, shift_mask, shift_permutations
-from .criteria import Criterion
-from .groups import GroupSpec, automorphisms, element_permutation
+from ._bits import apply_index_permutation, bit_tables, shift_permutations
+from .criteria import Criterion, _stepper
+from .groups import GroupSpec, aut_permutations, automorphisms
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -40,12 +45,15 @@ _PROGRESS_MASK = (1 << 18) - 1
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Tuning knobs.  None of them may change computed results, only cost.
+    """Search and reporting knobs.
 
+    None of the search knobs may change computed results, only cost.
     aut_pruning / shift_normalize default to automatic choices; an explicit
     True/False forces them.  node_budget None falls back to the
     ZEROSUM_BUDGET environment variable, then to DEFAULT_NODE_BUDGET; the
-    budget caps visited nodes per search task.
+    budget caps visited nodes per search task.  collect_all is read only by
+    constants.longest_lacking: it makes the report carry every extremal
+    sequence instead of the least one.
     """
 
     collect_all: bool = False
@@ -65,79 +73,27 @@ class SearchOutcome:
 
 
 def resolve_budget(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        if explicit < 0:
-            raise ValueError("node budget must be >= 0")
-        return explicit
-    env = os.environ.get("ZEROSUM_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_NODE_BUDGET
+    if explicit is None:
+        env = os.environ.get("ZEROSUM_BUDGET")
+        if not env:
+            return DEFAULT_NODE_BUDGET
+        try:
+            explicit = int(env)
+        except ValueError:
+            raise ValueError(f"ZEROSUM_BUDGET must be an integer, got {env!r}") from None
+    if explicit < 0:
+        raise ValueError("node budget must be >= 0")
+    return explicit
 
 
-def _stepper(group: GroupSpec, criterion: Criterion):
-    """Per-criterion incremental state.
-
-    A state is a tuple of bitmask rows whose first entry is the "blocked"
-    set: appending e creates a forbidden zero-sum iff -e lies in it.  The
-    remaining entries carry what is needed to maintain that set: reachable
-    sums by subsequence length < exp for SHORT/EXACT_EXP, by length mod exp
-    (nonempty) for EXP_MULTIPLE, by any length for ANY.
-    """
-    tables = bit_tables(group)
-    parts = tables.parts
-    exp = group.exponent
-
-    if criterion is Criterion.ANY:
-
-        def push(state, e):
-            x = state[0]
-            return (x | shift_mask(x, parts[e]),)
-
-        return (1,), push
-
-    if criterion in (Criterion.SHORT, Criterion.EXACT_EXP):
-        short = criterion is Criterion.SHORT
-
-        def push(state, e):
-            rows = list(state[1:])
-            pe = parts[e]
-            for l in range(exp - 1, 0, -1):
-                x = rows[l - 1]
-                if x:
-                    rows[l] |= shift_mask(x, pe)
-            if short:
-                blocked = 0
-                for x in rows:
-                    blocked |= x
-            else:
-                blocked = rows[exp - 1]
-            return (blocked, *rows)
-
-        rows0 = (1,) + (0,) * (exp - 1)
-        return ((1 if short else rows0[exp - 1]), *rows0), push
-
-    def push(state, e):
-        mod = state[1:]
-        rows = list(mod)
-        pe = parts[e]
-        for r in range(exp):
-            x = mod[r]
-            if x:
-                rows[(r + 1) % exp] |= shift_mask(x, pe)
-        rows[1 % exp] |= 1 << e
-        blocked = rows[exp - 1] if exp > 1 else (rows[0] | 1)
-        return (blocked, *rows)
-
-    return ((0 if exp > 1 else 1,) + (0,) * exp), push
-
-
-def _is_orbit_minimal(counts: list[int], perms_inv) -> bool:
-    # Image counts under alpha are counts[pinv[j]] at index j.  In the
-    # sorted-tuple order a multiset is smaller when the first differing
-    # index carries a LARGER count, so any such image disqualifies counts.
-    for pinv in perms_inv:
-        for j, pj in enumerate(pinv):
+def _is_orbit_minimal(counts: list[int], perms) -> bool:
+    # With p the permutation of alpha, the image counts under alpha^-1 are
+    # counts[p[j]] at index j; perms is closed under inversion, so this
+    # covers every image.  In the sorted-tuple order a multiset is smaller
+    # when the first differing index carries a LARGER count, so any such
+    # image disqualifies counts.
+    for p in perms:
+        for j, pj in enumerate(p):
             cj = counts[j]
             ci = counts[pj]
             if ci != cj:
@@ -211,24 +167,11 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, limit, fr
         counts[e] -= 1
 
 
-def _aut_perms_inv(group: GroupSpec):
-    perms = []
-    for aut in automorphisms(group):
-        p = element_permutation(aut)
-        inv = [0] * len(p)
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        t = tuple(inv)
-        if t != tuple(range(len(p))):
-            perms.append(t)
-    return tuple(perms)
-
-
 def _run_seed(group, criterion, seed, prune, budget, cap):
     counts0, state, start = seed
     tables = bit_tables(group)
     _, push = _stepper(group, criterion)
-    perms = _aut_perms_inv(group) if prune else None
+    perms = aut_permutations(group) if prune else None
     ctx = _Ctx(tables.size, tables.neg, push, None, perms, budget, cap, None)
     try:
         _dfs(ctx, list(counts0), state, start, _TASK_DEPTH, None, None)
@@ -270,7 +213,7 @@ def longest_lacking_search(
             prune = False
     else:
         prune = opts.aut_pruning
-    perms = _aut_perms_inv(group) if prune else None
+    perms = aut_permutations(group) if prune else None
 
     tables = bit_tables(group)
     state0, push = _stepper(group, criterion)
@@ -315,8 +258,7 @@ def longest_lacking_search(
 
     found = set(best_list)
     if prune:
-        aut_perms = [element_permutation(a) for a in automorphisms(group)]
-        found = {apply_index_permutation(c, p) for c in found for p in aut_perms}
+        found |= {apply_index_permutation(c, p) for c in found for p in perms}
     if shiftn:
         found = {apply_index_permutation(c, p) for c in found for p in shift_permutations(group)}
     return SearchOutcome(best, sorted(found), nodes, complete)
@@ -326,39 +268,16 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
     """Does seq have a criterion-lacking subsequence of the given length?
 
     (Lacking is hereditary, so a sequence of length >= target exists iff one
-    of exactly target does.)
+    of exactly target does.)  Runs the search DFS over the sub-multisets of
+    seq, capped by its multiplicities, down to the target length.
     """
     if target_length <= 0:
         return True
     if target_length > len(seq):
         return False
-    group = seq.group
-    tables = bit_tables(group)
-    state0, push = _stepper(group, criterion)
-    caps = seq.counts
-    size = tables.size
-    neg = tables.neg
-    # suffix_caps[e]: how many terms with index >= e remain available
-    suffix = [0] * (size + 1)
-    for e in range(size - 1, -1, -1):
-        suffix[e] = suffix[e + 1] + caps[e]
-    used = [0] * size
-
-    def rec(state, start: int, length: int) -> bool:
-        if length == target_length:
-            return True
-        if length + suffix[start] - used[start] < target_length:
-            return False
-        blocked = state[0]
-        for e in range(start, size):
-            if used[e] >= caps[e]:
-                continue
-            if (blocked >> neg[e]) & 1:
-                continue
-            used[e] += 1
-            if rec(push(state, e), e, length + 1):
-                return True
-            used[e] -= 1
-        return False
-
-    return rec(state0, 0, 0)
+    tables = bit_tables(seq.group)
+    state0, push = _stepper(seq.group, criterion)
+    ctx = _Ctx(tables.size, tables.neg, push, seq.counts, None, math.inf, target_length, None)
+    frontier: list = []
+    _dfs(ctx, [0] * tables.size, state0, 0, 0, target_length, frontier)
+    return bool(frontier)

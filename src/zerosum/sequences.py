@@ -6,7 +6,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .groups import Element, GroupSpec, automorphisms, element_permutation
+from ._bits import apply_index_permutation
+from .groups import Element, GroupSpec, aut_permutations
 
 
 class SequenceParseError(ValueError):
@@ -186,14 +187,8 @@ def apply_hom(
 def canonical_form(seq: Sequence) -> Sequence:
     """Least multiplicity table over the automorphism orbit of the sequence."""
     best = seq.counts
-    size = len(best)
-    for aut in automorphisms(seq.group):
-        perm = element_permutation(aut)
-        img = [0] * size
-        for i, c in enumerate(seq.counts):
-            if c:
-                img[perm[i]] = c
-        t = tuple(img)
+    for perm in aut_permutations(seq.group):
+        t = apply_index_permutation(seq.counts, perm)
         if t < best:
             best = t
     return Sequence(seq.group, best)

@@ -10,6 +10,11 @@ import random
 
 from zerosum import Criterion, GroupSpec, Sequence, lacks
 
+# Groups of order <= 16 for the oracle comparisons, as (n1, n2).
+ORACLE_GROUPS_16 = [
+    (2, 2), (1, 5), (2, 4), (3, 3), (1, 7), (2, 6), (1, 12), (2, 8), (4, 4), (1, 16), (1, 13),
+]
+
 
 def subset_reach(seq: Sequence) -> set[tuple[int, int, int]]:
     """(length, a, b) for every sub-multiset of seq, by direct enumeration."""

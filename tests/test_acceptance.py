@@ -11,7 +11,7 @@ import random
 import time
 from itertools import combinations_with_replacement
 
-from conftest import grow_lacking, oracle_lacks, random_sequence
+from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
 
 from zerosum import (
     Criterion,
@@ -221,11 +221,6 @@ def test_criterion_7_lemma_suite():
         bad.append(("shift-lemma", failures))
     _report(7, not bad, "noshort m<=5, two-m m<=4, and 10^4 randomized shift-lemma "
             "instances with zero failures" + (f"; failures: {bad}" if bad else ""), t0)
-
-
-ORACLE_GROUPS_16 = [
-    (2, 2), (1, 5), (2, 4), (3, 3), (1, 7), (2, 6), (1, 12), (2, 8), (4, 4), (1, 16), (1, 13),
-]
 
 
 def test_criterion_8_oracle_equivalence():

@@ -152,6 +152,12 @@ def test_budget_env_var(capsys, monkeypatch):
     assert json.loads(out)["complete"] is False
 
 
+def test_budget_env_var_rejects_invalid_values(capsys, monkeypatch):
+    for value in ("-5", "many", "1.5"):
+        monkeypatch.setenv("ZEROSUM_BUDGET", value)
+        assert run(capsys, "constants", "--group", "3,6", "--which", "s")[0] == 2
+
+
 def test_workers_flag(capsys):
     code, out = run(capsys, "constants", "--group", "2,4", "--which", "s", "--workers", "2")
     assert code == 0

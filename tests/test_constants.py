@@ -1,10 +1,16 @@
+import random
+from itertools import product
+
 import pytest
+from conftest import ORACLE_GROUPS_16, oracle_lacks, random_sequence
 
 from zerosum import (
     Criterion,
     GroupSpec,
     SearchOptions,
+    Sequence,
     check_direct_formulas,
+    exists_lacking_subsequence,
     formula_value,
     lacks,
     longest_lacking,
@@ -72,10 +78,10 @@ def test_results_independent_of_options():
 
 def test_unreduced_search_visits_exactly_the_lacking_downset():
     # with both reductions off, visited nodes = number of lacking multisets,
-    # which we can count independently through the profile-based decision
+    # counted independently by subset enumeration (lacks() shares the DFS's
+    # stepper, so it would not be an independent count)
     from itertools import combinations_with_replacement
 
-    from zerosum import Sequence
     from zerosum.search import longest_lacking_search
 
     cases = [(GroupSpec(2, 4), Criterion.SHORT), (GroupSpec.cyclic(5), Criterion.EXACT_EXP)]
@@ -86,7 +92,7 @@ def test_unreduced_search_visits_exactly_the_lacking_downset():
             seq
             for size in range(target + 1)
             for combo in combinations_with_replacement(elems, size)
-            if lacks(seq := Sequence.from_items(group, [(e, 1) for e in combo]), crit)
+            if oracle_lacks(seq := Sequence.from_items(group, [(e, 1) for e in combo]), crit)
         ]
         out = longest_lacking_search(
             group, crit, SearchOptions(aut_pruning=False, shift_normalize=False)
@@ -95,6 +101,20 @@ def test_unreduced_search_visits_exactly_the_lacking_downset():
         assert out.max_length == max(len(s) for s in downset) == target
         expected_extremals = sorted(s.counts for s in downset if len(s) == target)
         assert out.sequences == expected_extremals
+
+
+def test_exists_lacking_subsequence_matches_brute_force():
+    rng = random.Random(41)
+    for n1, n2 in ORACLE_GROUPS_16:
+        group = GroupSpec(n1, n2)
+        for _ in range(6):
+            seq = random_sequence(rng, group, 9)
+            subs = [Sequence(group, c) for c in product(*(range(k + 1) for k in seq.counts))]
+            for crit in Criterion:
+                lacking_lengths = {len(t) for t in subs if oracle_lacks(t, crit)}
+                for target in range(len(seq) + 2):
+                    got = exists_lacking_subsequence(seq, crit, target)
+                    assert got == (target in lacking_lengths), (str(seq), crit, target)
 
 
 def test_extremal_maximality():
