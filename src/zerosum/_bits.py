@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .groups import GroupSpec
 
@@ -69,10 +70,13 @@ def shift_permutations(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(add[i][h] for i in range(group.order)) for h in range(group.order))
 
 
-def apply_index_permutation(counts: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiplicity table of the image multiset under an element permutation."""
-    out = [0] * len(counts)
-    for i, c in enumerate(counts):
-        if c:
-            out[perm[i]] = c
-    return tuple(out)
+@lru_cache(maxsize=None)
+def shift_getters(group: GroupSpec) -> tuple[itemgetter, ...]:
+    """For each h != 0: a getter mapping a multiplicity table to a translate.
+
+    The getter reads counts[i + h] into index i, i.e. translates by -h; over
+    all h != 0 that runs over every nontrivial translation.  The identity is
+    left out, which also keeps every getter at two or more items (a
+    one-item itemgetter, as C1 would need, returns a scalar, not a tuple).
+    """
+    return tuple(itemgetter(*p) for p in shift_permutations(group)[1:])

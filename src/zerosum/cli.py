@@ -92,6 +92,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _constant_line(r) -> str:
+    name = f"{r.criterion.value}({r.group.label})"
+    if not r.complete:
+        return f"{name} >= {r.lower_bound} (formula {r.formula_constant}) [incomplete]"
+    verdict = "OK" if r.matches_formula else "MISMATCH"
+    return f"{name} = {r.computed_constant} (formula {r.formula_constant}) {verdict}"
+
+
 def _cmd_constants(args, cfg: RunConfig) -> int:
     group = GroupSpec.parse(args.group)
     opts = cfg.search_options()
@@ -110,13 +118,7 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
               r.complete, r.nodes_visited, round(r.elapsed_ms, 3)] for r in reports],
         ))
     else:
-        lines = [
-            f"{r.criterion.value}({group.label}) = {r.computed_constant} "
-            f"(formula {r.formula_constant}) "
-            f"{'OK' if r.matches_formula else 'MISMATCH'}{'' if r.complete else ' [incomplete]'}"
-            for r in reports
-        ]
-        _emit(cfg, "\n".join(lines))
+        _emit(cfg, "\n".join(_constant_line(r) for r in reports))
 
     if any(not r.complete for r in reports):
         return EXIT_BUDGET

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .criteria import Criterion, lacks
 from .groups import GroupSpec
@@ -40,13 +41,17 @@ def formula_value(group: GroupSpec, criterion: Criterion) -> int:
 class SearchReport:
     """Outcome of one exhaustive longest-lacking search.
 
-    extremal_examples hold sequences of length computed_constant - 1 that
-    lack the criterion; they are re-validated on construction.
+    lower_bound is one more than the longest lacking sequence found.  A
+    complete search makes it the constant itself (computed_constant); a
+    search cut short by the node budget proves only the bound, so it carries
+    no constant and no extremal examples.  extremal_examples hold sequences
+    of length computed_constant - 1 that lack the criterion; they are
+    re-validated on construction.
     """
 
     group: GroupSpec
     criterion: Criterion
-    computed_constant: int
+    lower_bound: int
     formula_constant: int
     extremal_examples: list[Sequence] = field(default_factory=list)
     nodes_visited: int = 0
@@ -55,8 +60,12 @@ class SearchReport:
 
     def __post_init__(self) -> None:
         for s in self.extremal_examples:
-            if len(s) != self.computed_constant - 1 or not lacks(s, self.criterion):
+            if len(s) != self.lower_bound - 1 or not lacks(s, self.criterion):
                 raise RuntimeError(f"extremal example {s} fails revalidation")
+
+    @property
+    def computed_constant(self) -> Optional[int]:
+        return self.lower_bound if self.complete else None
 
     @property
     def matches_formula(self) -> bool:
@@ -71,6 +80,8 @@ class SearchReport:
             "extremals": [s.text() for s in self.extremal_examples],
             "complete": self.complete,
         }
+        if not self.complete:
+            out["lower_bound"] = self.lower_bound
         if include_volatile:
             out["nodes"] = self.nodes_visited
             out["ms"] = round(self.elapsed_ms, 3)
@@ -84,18 +95,24 @@ def longest_lacking(
 
     With collect_all the report carries every extremal sequence, otherwise
     just the least one (in multiplicity-table order, so the choice does not
-    depend on search options).
+    depend on search options).  A search cut short by the node budget
+    reports only a lower bound (see SearchReport).
     """
     opts = options or SearchOptions()
     formula = formula_value(group, criterion)
     start = time.perf_counter()
     out = longest_lacking_search(group, criterion, opts, depth_cap=formula + 2)
     elapsed = (time.perf_counter() - start) * 1000.0
-    kept = out.sequences if opts.collect_all else out.sequences[:1]
+    if not out.complete:
+        kept = []
+    elif opts.collect_all:
+        kept = out.sequences
+    else:
+        kept = out.sequences[:1]
     return SearchReport(
         group=group,
         criterion=criterion,
-        computed_constant=out.max_length + 1,
+        lower_bound=out.max_length + 1,
         formula_constant=formula,
         extremal_examples=[Sequence(group, c) for c in kept],
         nodes_visited=out.nodes,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator
 
 # automorphisms() enumerates generator images by brute force; refuse groups
@@ -271,6 +272,18 @@ def aut_permutations(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """
     identity = tuple(range(group.order))
     return tuple(p for p in map(element_permutation, automorphisms(group)) if p != identity)
+
+
+@lru_cache(maxsize=None)
+def aut_getters(group: GroupSpec) -> tuple[itemgetter, ...]:
+    """For each permutation p of aut_permutations: itemgetter(*p).
+
+    Applied to a multiplicity table it returns the image table under the
+    inverse automorphism (counts[p[j]] at index j); closure under inversion
+    makes these run over every nontrivial image.  Non-identity permutations
+    have at least two items, so every getter returns a tuple.
+    """
+    return tuple(itemgetter(*p) for p in aut_permutations(group))
 
 
 def natural_projection(group: GroupSpec) -> tuple[GroupSpec, Callable[[Element], Element]]:

@@ -9,7 +9,11 @@ Two optional reductions shrink the tree without changing any result:
 
 * automorphism pruning keeps only prefixes that are minimal in their orbit
   (sorted-tuple order); minimal multisets have minimal prefixes, so every
-  orbit of maximal sequences keeps its representative;
+  orbit of maximal sequences keeps its representative.  The test is a
+  lex-leader comparison against every automorphism (Crawford, Ginsberg,
+  Luks and Roy, KR 1996), walked over a prefix trie of the automorphism
+  permutations (_orbit_table) so that comparisons at a prefix the
+  permutations share are made once;
 * translation normalization, sound only for the criteria that forbid
   zero-sums of lengths divisible by exp(G) (translating a length-L
   subsequence changes its sum by L*g = 0 when exp | L), forces the first
@@ -18,6 +22,8 @@ Two optional reductions shrink the tree without changing any result:
 
 Whenever a reduction is on, the collected maximal set is re-expanded over the
 orbit before reporting, so all option combinations return identical results.
+The re-expansion maps one itemgetter per automorphism and per translation
+(groups.aut_getters, _bits.shift_getters) over the tables found so far.
 
 Each node extends its parent's state by one push of the criterion's stepper
 (criteria._stepper); exists_lacking_subsequence() runs the same DFS over the
@@ -29,12 +35,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from functools import lru_cache
+from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Optional
 
-from ._bits import apply_index_permutation, bit_tables, shift_permutations
+from ._bits import bit_tables, shift_getters
 from .criteria import Criterion, _stepper
-from .groups import GroupSpec, aut_permutations, automorphisms
+from .groups import GroupSpec, aut_getters, aut_permutations, automorphisms
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -51,9 +58,10 @@ class SearchOptions:
     aut_pruning / shift_normalize default to automatic choices; an explicit
     True/False forces them.  node_budget None falls back to the
     ZEROSUM_BUDGET environment variable, then to DEFAULT_NODE_BUDGET; the
-    budget caps visited nodes per search task.  collect_all is read only by
-    constants.longest_lacking: it makes the report carry every extremal
-    sequence instead of the least one.
+    budget caps visited nodes per search task.  workers > 1 runs the seed
+    tasks in a fork pool, or serially where the platform cannot fork.
+    collect_all is read only by constants.longest_lacking: it makes the
+    report carry every extremal sequence instead of the least one.
     """
 
     collect_all: bool = False
@@ -86,20 +94,69 @@ def resolve_budget(explicit: Optional[int]) -> int:
     return explicit
 
 
-def _is_orbit_minimal(counts: list[int], perms) -> bool:
-    # With p the permutation of alpha, the image counts under alpha^-1 are
-    # counts[p[j]] at index j; perms is closed under inversion, so this
-    # covers every image.  In the sorted-tuple order a multiset is smaller
-    # when the first differing index carries a LARGER count, so any such
-    # image disqualifies counts.
+@lru_cache(maxsize=None)
+def _orbit_table(group: GroupSpec):
+    """Prefix trie of aut_permutations(group) for _is_orbit_minimal.
+
+    A node (j, branches, leaves) groups the permutations still tied at
+    position j by their image p[j]: branches holds (p[j], child node) for a
+    group of two or more, leaves holds (p[j], p) for a lone permutation,
+    which is the shared tuple from aut_permutations, not a copy.  Positions
+    fixed by every permutation of a node are skipped.  A trivial Aut(G)
+    gives a node with nothing to compare.
+    """
+    perms = aut_permutations(group)
+    return _orbit_node(perms, 0) if perms else (0, (), ())
+
+
+def _orbit_node(perms, j):
+    # perms are distinct and not the identity, so some position >= j moves.
+    while all(p[j] == j for p in perms):
+        j += 1
+    by_image: dict[int, list] = {}
     for p in perms:
-        for j, pj in enumerate(p):
-            cj = counts[j]
-            ci = counts[pj]
+        by_image.setdefault(p[j], []).append(p)
+    ties = sorted(by_image.items())
+    branches = tuple((v, _orbit_node(ps, j + 1)) for v, ps in ties if len(ps) > 1)
+    leaves = tuple((v, ps[0]) for v, ps in ties if len(ps) == 1)
+    return j, branches, leaves
+
+
+def _is_orbit_minimal(counts: list[int], table) -> bool:
+    # With p the permutation of alpha, the image counts under alpha^-1 are
+    # counts[p[j]] at index j; the permutations are closed under inversion,
+    # so this covers every image.  In the sorted-tuple order a multiset is
+    # smaller when the first differing index carries a LARGER count, so any
+    # such image disqualifies counts.  table is _orbit_table(group), so the
+    # comparisons at a prefix that permutations share are made once for all
+    # of them: at a node, a larger image count rejects counts, a smaller one
+    # settles that branch, an equal one descends; a lone permutation finishes
+    # with the plain scan.  Each permutation meets the same comparisons as
+    # in a loop over the permutations, so every decision is the same.
+    size = len(counts)
+    stack = [table]
+    while stack:
+        j, branches, leaves = stack.pop()
+        cj = counts[j]
+        for v, child in branches:
+            ci = counts[v]
+            if ci == cj:
+                stack.append(child)
+            elif ci > cj:
+                return False
+        for v, p in leaves:
+            ci = counts[v]
             if ci != cj:
                 if ci > cj:
                     return False
-                break
+                continue
+            for k in range(j + 1, size):
+                ck = counts[k]
+                ci = counts[p[k]]
+                if ci != ck:
+                    if ci > ck:
+                        return False
+                    break
     return True
 
 
@@ -109,16 +166,16 @@ class _BudgetExhausted(Exception):
 
 class _Ctx:
     __slots__ = (
-        "size", "neg", "push", "caps", "perms", "budget", "nodes",
+        "size", "neg", "push", "caps", "orbits", "budget", "nodes",
         "best", "best_list", "cap", "progress", "complete",
     )
 
-    def __init__(self, size, neg, push, caps, perms, budget, cap, progress):
+    def __init__(self, size, neg, push, caps, orbits, budget, cap, progress):
         self.size = size
         self.neg = neg
         self.push = push
         self.caps = caps
-        self.perms = perms
+        self.orbits = orbits
         self.budget = budget
         self.cap = cap
         self.progress = progress
@@ -152,7 +209,7 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, limit, fr
     blocked = state[0]
     neg = ctx.neg
     caps = ctx.caps
-    perms = ctx.perms
+    orbits = ctx.orbits
     push = ctx.push
     for e in range(start, ctx.size):
         if (blocked >> neg[e]) & 1:
@@ -160,7 +217,7 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, limit, fr
         if caps is not None and counts[e] >= caps[e]:
             continue
         counts[e] += 1
-        if perms is not None and not _is_orbit_minimal(counts, perms):
+        if orbits is not None and not _is_orbit_minimal(counts, orbits):
             counts[e] -= 1
             continue
         _dfs(ctx, counts, push(state, e), e, length + 1, limit, frontier)
@@ -171,8 +228,8 @@ def _run_seed(group, criterion, seed, prune, budget, cap):
     counts0, state, start = seed
     tables = bit_tables(group)
     _, push = _stepper(group, criterion)
-    perms = aut_permutations(group) if prune else None
-    ctx = _Ctx(tables.size, tables.neg, push, None, perms, budget, cap, None)
+    orbits = _orbit_table(group) if prune else None
+    ctx = _Ctx(tables.size, tables.neg, push, None, orbits, budget, cap, None)
     try:
         _dfs(ctx, list(counts0), state, start, _TASK_DEPTH, None, None)
     except _BudgetExhausted:
@@ -213,11 +270,11 @@ def longest_lacking_search(
             prune = False
     else:
         prune = opts.aut_pruning
-    perms = aut_permutations(group) if prune else None
+    orbits = _orbit_table(group) if prune else None
 
     tables = bit_tables(group)
     state0, push = _stepper(group, criterion)
-    ctx = _Ctx(tables.size, tables.neg, push, None, perms, budget, cap, opts.progress)
+    ctx = _Ctx(tables.size, tables.neg, push, None, orbits, budget, cap, opts.progress)
 
     # Shallow walk: record the root and depth-1 nodes, seed tasks at depth 2.
     frontier: list = []
@@ -231,7 +288,7 @@ def longest_lacking_search(
             if (state0[0] >> tables.neg[e]) & 1:
                 continue
             counts[e] = 1
-            if perms is not None and not _is_orbit_minimal(counts, perms):
+            if orbits is not None and not _is_orbit_minimal(counts, orbits):
                 counts[e] = 0
                 continue
             _dfs(ctx, counts, push(state0, e), e, 1, _TASK_DEPTH, frontier)
@@ -241,7 +298,8 @@ def longest_lacking_search(
 
     best, best_list, nodes, complete = ctx.best, ctx.best_list, ctx.nodes, ctx.complete
     args = [(group, criterion, seed, prune, budget, cap) for seed in frontier]
-    if opts.workers > 1 and len(args) > 1:
+    # Where the platform cannot fork, the seed tasks run serially: same results.
+    if opts.workers > 1 and len(args) > 1 and "fork" in get_all_start_methods():
         with get_context("fork").Pool(opts.workers) as pool:
             results = pool.map(_seed_entry, args, chunksize=max(1, len(args) // (opts.workers * 4)))
     else:
@@ -258,9 +316,13 @@ def longest_lacking_search(
 
     found = set(best_list)
     if prune:
-        found |= {apply_index_permutation(c, p) for c in found for p in perms}
+        base = list(found)
+        for image in aut_getters(group):
+            found.update(map(image, base))
     if shiftn:
-        found = {apply_index_permutation(c, p) for c in found for p in shift_permutations(group)}
+        base = list(found)
+        for image in shift_getters(group):
+            found.update(map(image, base))
     return SearchOutcome(best, sorted(found), nodes, complete)
 
 

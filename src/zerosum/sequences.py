@@ -6,8 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from ._bits import apply_index_permutation
-from .groups import Element, GroupSpec, aut_permutations
+from .groups import Element, GroupSpec, aut_getters
 
 
 class SequenceParseError(ValueError):
@@ -186,9 +185,5 @@ def apply_hom(
 
 def canonical_form(seq: Sequence) -> Sequence:
     """Least multiplicity table over the automorphism orbit of the sequence."""
-    best = seq.counts
-    for perm in aut_permutations(seq.group):
-        t = apply_index_permutation(seq.counts, perm)
-        if t < best:
-            best = t
-    return Sequence(seq.group, best)
+    counts = seq.counts
+    return Sequence(seq.group, min([counts, *(image(counts) for image in aut_getters(seq.group))]))

@@ -42,6 +42,35 @@ def test_constants_budget_exhaustion(capsys):
     assert json.loads(out)["complete"] is False
 
 
+def test_incomplete_report_carries_only_a_lower_bound(capsys):
+    argv = ["constants", "--group", "3,6", "--which", "s", "--budget", "5"]
+    code, out = run(capsys, *argv)
+    assert code == 3
+    data = json.loads(out)
+    assert data["complete"] is False
+    assert data["computed"] is None
+    assert data["extremals"] == []
+    assert 1 <= data["lower_bound"] <= data["formula"] == 15
+
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 3
+    assert out == f"s(C3xC6) >= {data['lower_bound']} (formula 15) [incomplete]\n"
+
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 3
+    assert out.splitlines()[1].startswith('"3,6",s,,15,False,')
+
+
+def test_complete_report_has_no_lower_bound(capsys):
+    code, out = run(capsys, "constants", "--group", "2,4", "--which", "s")
+    assert code == 0
+    data = json.loads(out)
+    assert sorted(data) == ["complete", "computed", "criterion", "extremals", "formula", "group", "ms", "nodes"]
+    assert data["computed"] == 9 and len(data["extremals"]) == 1
+    code, out = run(capsys, "constants", "--group", "2,4", "--which", "s", "--format", "text")
+    assert out == "s(C2xC4) = 9 (formula 9) OK\n"
+
+
 def test_extremal_c2c2_s(capsys):
     code, out = run(capsys, "extremal", "--group", "2,2", "--kind", "s")
     assert code == 0
