@@ -15,6 +15,14 @@ length exp(G) (length s(G)-1), fall into four parameterized families:
 
 The families overlap; classify() returns every parameterization that
 reproduces a sequence, and an empty result is a finding, not an error.
+
+classify() scans only the sequence's own support.  Every element a family
+names has multiplicity at least m-1 >= 1 (rank two means m >= 2) and the
+named elements of a valid form are pairwise distinct, so a matching sequence
+has exactly the named elements as its support: three for ETA_A/ETA_B, four
+for S_A/S_B.  Candidate pairs (e1, e2), and translations g, are drawn from
+the support and checked on per-group index tables (_index_tables) instead
+of running over every basis, unit and translation.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Optional
 
+from ._bits import add_table, bit_tables
 from .constants import formula_value
 from .criteria import Criterion, has_zero_sum_of_length, lacks
 from .groups import (
@@ -215,17 +224,42 @@ def _generating_pairs(group: GroupSpec) -> tuple[tuple[Element, Element], ...]:
     return tuple(out)
 
 
-def _units(m: int) -> list[int]:
-    return [x for x in range(1, m) if math.gcd(x, m) == 1]
+@lru_cache(maxsize=None)
+def _units(m: int) -> tuple[int, ...]:
+    return tuple(x for x in range(1, m) if math.gcd(x, m) == 1)
+
+
+@lru_cache(maxsize=None)
+def _index_tables(group: GroupSpec) -> tuple:
+    """Element-index arithmetic for classify(), built once per group.
+
+    (elements, add, neg, scaled, bases, generating): elements[i] has index
+    i; add[i][j] and neg[i] index e_i + e_j and -e_i; scaled holds, per unit
+    x, the pair (x, index of x*e_i over i); bases and generating are
+    _ordered_bases and _generating_pairs as sets of index pairs.
+    """
+    elements = tuple(group.elements())
+    return (
+        elements,
+        add_table(group),
+        bit_tables(group).neg,
+        tuple((x, tuple((x * e).index for e in elements)) for x in _units(group.m)),
+        frozenset((e1.index, e2.index) for e1, e2 in _ordered_bases(group)),
+        frozenset((g1.index, g2.index) for g1, g2 in _generating_pairs(group)),
+    )
 
 
 def classify(seq: Sequence) -> list[ClassifyMatch]:
     """Every parameterization whose construct() equals the sequence.
 
-    Scans all candidate basis/generating pairs and parameter values, with
-    multiplicity lookups as early exits; for a valid form the stated support
-    elements are pairwise distinct, so the multiplicity pattern determines
-    s and t directly.  An empty result means the sequence matches no family.
+    Scans only the sequence's own support, which is exact: every element a
+    form names has multiplicity at least m-1 >= 1 and the named elements are
+    pairwise distinct, so a match has exactly them as its support (three
+    for ETA, four for S).  (e1, e2), resp. (e1+g, e2+g) with g from the
+    support, is an ordered pair of support indices checked against the
+    basis / generating-pair tables; the multiplicity pattern fixes s and t.
+    All arithmetic is on element indices; only matches become Elements.  An
+    empty result means the sequence matches no family.
     """
     grp = seq.group
     if grp.rank != 2:
@@ -239,6 +273,11 @@ def classify(seq: Sequence) -> list[ClassifyMatch]:
             f"not an extremal-length sequence: |S| = {total}, expected {eta_len} or {s_len}"
         )
     cnt = seq.counts
+    supp = [i for i, c in enumerate(cnt) if c]
+    is_eta = total == eta_len
+    if len(supp) != (3 if is_eta else 4):
+        return []
+    elem, add, neg, scaled, bases, generating = _index_tables(grp)
     forms: list[ExtremalForm] = []
 
     def param_s(count: int) -> Optional[int]:
@@ -248,49 +287,49 @@ def classify(seq: Sequence) -> list[ClassifyMatch]:
         s = (count + 1) // m
         return s if 1 <= s <= n else None
 
-    if total == eta_len:
-        for e1, e2 in _ordered_bases(grp):
-            if cnt[e1.index] != m - 1:
+    if is_eta:
+        for e1, e2 in permutations(supp, 2):
+            if cnt[e1] != m - 1:
                 continue
-            s = param_s(cnt[e2.index])
-            if s is None:
-                continue
-            for x in _units(m):
-                third = e2 - x * e1
-                if cnt[third.index] == (n + 1 - s) * m - 1:
-                    forms.append(ExtremalForm(FormTag.ETA_A, e1, e2, x=x, s=s))
-        for g1, g2 in _generating_pairs(grp):
+            if (e1, e2) in bases:
+                s = param_s(cnt[e2])
+                if s is not None:
+                    want = (n + 1 - s) * m - 1
+                    for x, times in scaled:
+                        if cnt[add[e2][neg[times[e1]]]] == want:
+                            forms.append(ExtremalForm(FormTag.ETA_A, elem[e1], elem[e2], x=x, s=s))
             if (
-                cnt[g1.index] == m - 1
-                and cnt[g2.index] == mn - 1
-                and cnt[(g2 - g1).index] == m - 1
+                (e1, e2) in generating
+                and cnt[e2] == mn - 1
+                and cnt[add[e2][neg[e1]]] == m - 1
             ):
-                forms.append(ExtremalForm(FormTag.ETA_B, g1, g2))
+                forms.append(ExtremalForm(FormTag.ETA_B, elem[e1], elem[e2]))
     else:
-        for e1, e2 in _ordered_bases(grp):
-            for x in _units(m):
-                delta = e2 - x * e1
-                for g in grp.elements():
-                    t = param_s(cnt[g.index])
-                    if t is None:
-                        continue
-                    if cnt[(e1 + g).index] != (n + 1 - t) * m - 1:
-                        continue
-                    s = param_s(cnt[(e2 + g).index])
-                    if s is None:
-                        continue
-                    if cnt[(delta + g).index] != (n + 1 - s) * m - 1:
-                        continue
-                    forms.append(ExtremalForm(FormTag.S_A, e1, e2, x=x, s=s, t=t, g=g))
-        for g1, g2 in _generating_pairs(grp):
-            for g in grp.elements():
+        for g in supp:
+            t = param_s(cnt[g])
+            if t is None:
+                continue
+            minus_g = neg[g]
+            others = [i for i in supp if i != g]
+            for a, b in permutations(others, 2):
+                # a = e1 + g, b = e2 + g
+                e1, e2 = add[a][minus_g], add[b][minus_g]
+                if cnt[a] == (n + 1 - t) * m - 1 and (e1, e2) in bases:
+                    s = param_s(cnt[b])
+                    if s is not None:
+                        want = (n + 1 - s) * m - 1
+                        for x, times in scaled:
+                            if cnt[add[b][neg[times[e1]]]] == want:
+                                forms.append(ExtremalForm(
+                                    FormTag.S_A, elem[e1], elem[e2], x=x, s=s, t=t, g=elem[g]))
                 if (
-                    cnt[g.index] == mn - 1
-                    and cnt[(g1 + g).index] == m - 1
-                    and cnt[(g2 + g).index] == mn - 1
-                    and cnt[(g2 - g1 + g).index] == m - 1
+                    cnt[g] == mn - 1
+                    and cnt[a] == m - 1
+                    and cnt[b] == mn - 1
+                    and (e1, e2) in generating
+                    and cnt[add[b][neg[e1]]] == m - 1
                 ):
-                    forms.append(ExtremalForm(FormTag.S_B, g1, g2, g=g))
+                    forms.append(ExtremalForm(FormTag.S_B, elem[e1], elem[e2], g=elem[g]))
 
     forms.sort(key=ExtremalForm.sort_key)
     return [
@@ -321,7 +360,9 @@ def enumerate_extremal(
     """All sequences of extremal length lacking the matching pattern.
 
     With up_to_aut, one representative per automorphism orbit (the canonical
-    form), in deterministic order either way.
+    form), in deterministic order either way.  A run cut short by the node
+    budget keeps only the extremal-length sequences it reached (possibly
+    none), never the shorter maximal ones of a partial tree.
     """
     crit = Criterion.SHORT if kind is ExtremalKind.ETA else Criterion.EXACT_EXP
     target = formula_value(group, crit) - 1
@@ -330,7 +371,8 @@ def enumerate_extremal(
         raise RuntimeError(
             f"extremal search reached length {out.max_length}, expected {target}"
         )
-    seqs = [Sequence(group, c) for c in out.sequences]
+    found = out.sequences if out.max_length == target else []
+    seqs = [Sequence(group, c) for c in found]
     if up_to_aut:
         seqs = sorted({canonical_form(s) for s in seqs})
     return ExtremalEnumeration(group, kind, seqs, out.complete, out.nodes)
@@ -378,17 +420,19 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
     kind = ExtremalKind.ETA if which == "C" else ExtremalKind.S
     enum = enumerate_extremal(group, kind, options=options)
     rep = m - 1
-    bad = [s for s in enum.sequences if any(c % rep for c in s.counts)]
-    if not enum.complete:
-        status = "unverified"
-    else:
+    if enum.complete:
+        bad = [s for s in enum.sequences if any(c % rep for c in s.counts)]
         status = "falsified" if bad else "verified"
+        count: Optional[int] = len(enum.sequences)
+    else:
+        # A partial enumeration proves nothing: no counterexamples, no count.
+        bad, status, count = [], "unverified", None
     return CheckResult(
         name=f"property-{which}",
         params={"m": m},
         status=status,
         counterexamples=bad,
-        details={"extremal_count": len(enum.sequences), "length": 3 * m - 3 if which == "C" else 4 * m - 4},
+        details={"extremal_count": count, "length": 3 * m - 3 if which == "C" else 4 * m - 4},
         nodes=enum.nodes,
     )
 
@@ -492,20 +536,23 @@ def _check_invcyc(n: int, options: Optional[SearchOptions] = None) -> CheckResul
         for g in group.elements()
     }
 
-    bad = sorted((got_any ^ pred_any) | (got_s ^ pred_s))
-    if not complete:
-        status = "unverified"
-    else:
+    if complete:
+        bad = sorted((got_any ^ pred_any) | (got_s ^ pred_s))
         status = "falsified" if bad else "verified"
+        any_count: Optional[int] = len(got_any)
+        s_count: Optional[int] = len(got_s)
+    else:
+        # A partial enumeration proves nothing: no counterexamples, no counts.
+        bad, status, any_count, s_count = [], "unverified", None, None
     return CheckResult(
         name="invcyc",
         params={"n": n},
         status=status,
         counterexamples=bad,
         details={
-            "zero_sum_free_count": len(got_any),
+            "zero_sum_free_count": any_count,
             "expected_zero_sum_free": len(pred_any),
-            "length_n_free_count": len(got_s),
+            "length_n_free_count": s_count,
             "expected_length_n_free": len(pred_s),
         },
         nodes=nodes,

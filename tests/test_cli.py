@@ -114,6 +114,32 @@ def test_check_invcyc(capsys):
     assert json.loads(out)["status"] == "verified"
 
 
+def test_incomplete_check_prints_no_counterexamples(capsys):
+    for argv, counts in ((["property-D", "--m", "5"], ["extremal_count"]),
+                         (["invcyc", "--n", "6"], ["zero_sum_free_count", "length_n_free_count"])):
+        code, out = run(capsys, "check", *argv, "--budget", "5")
+        assert code == 3
+        data = json.loads(out)
+        assert data["status"] == "unverified" and data["counterexamples"] == []
+        assert all(data["details"][key] is None for key in counts)
+        code, out = run(capsys, "check", *argv, "--budget", "5", "--format", "text")
+        assert code == 3
+        assert out.endswith(": unverified\n")
+
+
+def test_incomplete_extremal_prints_only_extremal_records(capsys):
+    for budget, any_records in (("5", False), ("400", True)):
+        for extra in ([], ["--classify"]):
+            code, out = run(capsys, "extremal", "--group", "3,6", "--kind", "s",
+                            "--budget", budget, *extra)
+            assert code == 3
+            records = [json.loads(line) for line in out.splitlines() if line]
+            assert bool(records) == any_records
+            assert all(rec["length"] == 14 for rec in records)
+            if extra:
+                assert all(rec["matches"] for rec in records)
+
+
 def test_check_noshort_m4_x_values(capsys):
     code, out = run(capsys, "check", "noshort", "--m", "4")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -9,17 +10,20 @@ from zerosum import (
     FormTag,
     GroupSpec,
     LemmaName,
+    SearchOptions,
+    Sequence,
     check_property,
     classify,
     construct,
     enumerate_extremal,
+    formula_value,
     lacks,
     order_of,
     parse_sequence,
     reproduce_exp_minus_1,
     verify_lemma,
 )
-from zerosum.inverse import _generating_pairs, _ordered_bases, _units
+from zerosum.inverse import _form_items, _generating_pairs, _ordered_bases, _units
 
 
 def test_construct_eta_a_example():
@@ -86,6 +90,72 @@ def test_classify_roundtrip():
             form = _random_valid_form(rng, group)
             matches = classify(construct(form))
             assert form in [m.form for m in matches]
+
+
+ORACLE_FORM_GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (2, 8)]
+
+
+def _forms_by_counts(group):
+    """Every valid form, keyed by the counts of the sequence it states.
+
+    Built forward from the family definitions (every basis, unit, s, t and
+    translation g), independently of classify's support scan.
+    """
+    n = group.n
+    elems = list(group.elements())
+    out = defaultdict(list)
+    forms = []
+    for e1, e2 in _ordered_bases(group):
+        for x in _units(group.m):
+            for s in range(1, n + 1):
+                forms.append(ExtremalForm(FormTag.ETA_A, e1, e2, x=x, s=s))
+                for t in range(1, n + 1):
+                    for g in elems:
+                        forms.append(ExtremalForm(FormTag.S_A, e1, e2, x=x, s=s, t=t, g=g))
+    for g1, g2 in _generating_pairs(group):
+        forms.append(ExtremalForm(FormTag.ETA_B, g1, g2))
+        for g in elems:
+            forms.append(ExtremalForm(FormTag.S_B, g1, g2, g=g))
+    for form in forms:
+        out[Sequence.from_items(group, _form_items(form)).counts].append(form)
+    return {c: sorted(fs, key=ExtremalForm.sort_key) for c, fs in out.items()}
+
+
+def _classified_forms(seq):
+    return [m.form for m in classify(seq)]
+
+
+@pytest.mark.parametrize("gspec", ORACLE_FORM_GROUPS, ids=lambda g: f"{g[0]}-{g[1]}")
+def test_classify_matches_forward_form_oracle(gspec):
+    group = GroupSpec(*gspec)
+    oracle = _forms_by_counts(group)
+    for kind in (ExtremalKind.ETA, ExtremalKind.S):
+        enum = enumerate_extremal(group, kind)
+        assert enum.complete and enum.sequences
+        for seq in enum.sequences:
+            assert _classified_forms(seq) == oracle.get(seq.counts, [])
+
+    rng = random.Random(sum(gspec))
+    form_counts = sorted(oracle)
+    for crit in (Criterion.SHORT, Criterion.EXACT_EXP):
+        length = formula_value(group, crit) - 1
+        for _ in range(40):
+            # random sequences of extremal length with a small support
+            support = rng.sample(range(group.order), rng.randint(1, min(5, group.order)))
+            counts = [0] * group.order
+            for i in support:
+                counts[i] += 1
+            for _ in range(length - len(support)):
+                counts[rng.choice(support)] += 1
+            seq = Sequence(group, tuple(counts))
+            assert _classified_forms(seq) == oracle.get(seq.counts, [])
+    for _ in range(80):
+        # a stated sequence, and the same with one term moved
+        counts = list(rng.choice(form_counts))
+        assert _classified_forms(Sequence(group, tuple(counts))) == oracle[tuple(counts)]
+        counts[rng.choice([i for i, c in enumerate(counts) if c])] -= 1
+        counts[rng.randrange(group.order)] += 1
+        assert _classified_forms(Sequence(group, tuple(counts))) == oracle.get(tuple(counts), [])
 
 
 def test_classify_example_s_window():
@@ -166,6 +236,32 @@ def test_check_property_unverified_on_tiny_budget():
 
     res = check_property(4, "D", SearchOptions(node_budget=10))
     assert res.status == "unverified"
+
+
+def test_incomplete_checks_report_no_counterexamples():
+    tiny = SearchOptions(node_budget=5)
+    res = check_property(5, "D", tiny)
+    assert res.status == "unverified"
+    assert res.counterexamples == []
+    assert res.details == {"extremal_count": None, "length": 16}
+    res = verify_lemma(LemmaName.INVCYC, n=6, options=tiny)
+    assert res.status == "unverified"
+    assert res.counterexamples == []
+    assert res.details["zero_sum_free_count"] is None
+    assert res.details["length_n_free_count"] is None
+    assert res.details["expected_zero_sum_free"] == 2
+
+
+def test_incomplete_enumeration_keeps_only_extremal_length():
+    group = GroupSpec(3, 6)
+    target = formula_value(group, Criterion.EXACT_EXP) - 1
+    partial = enumerate_extremal(group, ExtremalKind.S, options=SearchOptions(node_budget=400))
+    assert not partial.complete and partial.sequences
+    for seq in partial.sequences:
+        assert len(seq) == target and lacks(seq, Criterion.EXACT_EXP)
+        assert classify(seq)
+    short = enumerate_extremal(group, ExtremalKind.S, options=SearchOptions(node_budget=5))
+    assert not short.complete and short.sequences == []
 
 
 def test_verify_lemma_noshort():
