@@ -3,6 +3,12 @@
 Bit i stands for the element with index i = a*n2 + b.  Translating a whole
 set by a fixed element is a permutation of bits that decomposes into at most
 four masked shifts (wrap-around in each coordinate), precomputed per group.
+
+Reachability tables pack several such sets into one integer, row l at bits
+[l*|G|, (l+1)*|G|).  A shift never carries a bit across a row boundary, so
+with every mask repeated once per row (row_parts) the same masked shifts
+translate all rows at once.  row_parts keeps one table per group and
+rebuilds it with at least twice the rows when a caller needs more.
 """
 
 from __future__ import annotations
@@ -42,13 +48,38 @@ def bit_tables(group: GroupSpec) -> BitTables:
 
 
 def shift_mask(x: int, parts_g: tuple[tuple[int, int], ...]) -> int:
-    """Image of the element set x under translation by g (given g's parts)."""
+    """Image of the element set x under translation by g (given g's parts).
+
+    With g's row_parts, x may be a packed table: every row is translated.
+    """
     y = 0
     for d, mask in parts_g:
         m = x & mask
         if m:
             y |= (m << d) if d >= 0 else (m >> -d)
     return y
+
+
+# group -> (rows, parts): the one repeated-row table per group, grown by doubling.
+_ROW_PARTS: dict[GroupSpec, tuple[int, tuple[tuple[tuple[int, int], ...], ...]]] = {}
+
+
+def row_parts(group: GroupSpec, rows: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per-element shift parts whose masks cover rows 0..rows-1 of a packed table.
+
+    The table may cover more rows than asked for; the extra mask bits meet
+    no bits of the packed integer and cost nothing.
+    """
+    cached = _ROW_PARTS.get(group)
+    if cached is not None and cached[0] >= rows:
+        return cached[1]
+    rows = max(rows, 1, 2 * cached[0] if cached is not None else 0)
+    tables = bit_tables(group)
+    # mask * repunit repeats a one-row mask in every row (no carries: mask < 2^|G|).
+    repunit = ((1 << (rows * tables.size)) - 1) // tables.full_mask
+    parts = tuple(tuple((d, mask * repunit) for d, mask in pg) for pg in tables.parts)
+    _ROW_PARTS[group] = (rows, parts)
+    return parts
 
 
 @lru_cache(maxsize=None)

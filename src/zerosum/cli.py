@@ -73,11 +73,14 @@ def _progress_printer():
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
+    # An empty output stays empty: a lone newline would be a blank JSON line.
+    if text and not text.endswith("\n"):
+        text += "\n"
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _dump_json(obj) -> str:

@@ -6,6 +6,11 @@ term at a time and keeps only the rows its criterion needs; lacks(), the
 search DFS and exists_lacking_subsequence() run on it.  The length-indexed
 profile, a bounded-knapsack pass over the support, records every exact
 length; build_profile(), has_zero_sum_of_length() and witness() run on it.
+
+Both tables pack their rows into one integer, row l at bits
+[l*|G|, (l+1)*|G|), so adding a term translates every row with one
+shift_mask call on the repeated-row masks of _bits.row_parts (one table per
+group, rebuilt with twice the rows when a caller needs more).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ._bits import add_table, bit_tables, shift_mask
+from ._bits import add_table, bit_tables, row_parts, shift_mask
 from .groups import Element, GroupSpec
 from .sequences import Sequence, shift
 
@@ -55,17 +60,21 @@ class Criterion(Enum):
 def _stepper(group: GroupSpec, criterion: Criterion):
     """Per-criterion incremental state.
 
-    A state is a tuple of bitmask rows whose first entry is the "blocked"
-    set: appending e creates a forbidden zero-sum iff -e lies in it.  The
-    remaining entries carry what is needed to maintain that set: reachable
-    sums by subsequence length < exp for SHORT/EXACT_EXP, by length mod exp
-    (nonempty) for EXP_MULTIPLE, by any length for ANY.
+    A state's first entry is the "blocked" set: appending e creates a
+    forbidden zero-sum iff -e lies in it.  For ANY it is the whole state,
+    the sums of all subsequences.  Otherwise the second entry packs the rows
+    needed to maintain it into one integer, row l at bits [l*|G|, (l+1)*|G|)
+    (see _bits): reachable sums by subsequence length l < exp for
+    SHORT/EXACT_EXP, by length l mod exp (nonempty) for EXP_MULTIPLE.  One
+    push translates every row with one shift_mask call.
     """
     tables = bit_tables(group)
-    parts = tables.parts
+    size = tables.size
     exp = group.exponent
+    top = (exp - 1) * size  # bit offset of row exp-1
 
     if criterion is Criterion.ANY:
+        parts = tables.parts
 
         def push(state, e):
             x = state[0]
@@ -73,40 +82,53 @@ def _stepper(group: GroupSpec, criterion: Criterion):
 
         return (1,), push
 
-    if criterion in (Criterion.SHORT, Criterion.EXACT_EXP):
-        short = criterion is Criterion.SHORT
+    if criterion is Criterion.EXACT_EXP:
+        parts = row_parts(group, exp - 1)
+        below_top = (1 << top) - 1
 
         def push(state, e):
-            rows = list(state[1:])
-            pe = parts[e]
-            for l in range(exp - 1, 0, -1):
-                x = rows[l - 1]
-                if x:
-                    rows[l] |= shift_mask(x, pe)
-            if short:
-                blocked = 0
-                for x in rows:
-                    blocked |= x
-            else:
-                blocked = rows[exp - 1]
-            return (blocked, *rows)
+            packed = state[1]
+            packed |= shift_mask(packed & below_top, parts[e]) << size
+            return (packed >> top, packed)
 
-        rows0 = (1,) + (0,) * (exp - 1)
-        return ((1 if short else rows0[exp - 1]), *rows0), push
+        return (1 if exp == 1 else 0, 1), push
+
+    if criterion is Criterion.SHORT:
+        parts = row_parts(group, exp - 1)
+        below_top = (1 << top) - 1
+        # Fold the exp rows onto row 0, halving (rounded up) the live rows per
+        # step; bits above the live rows are ORs of genuine rows, so harmless.
+        folds = []
+        live = exp
+        while live > 1:
+            live = (live + 1) // 2
+            folds.append(live * size)
+        row0 = tables.full_mask
+
+        def push(state, e):
+            packed = state[1]
+            packed |= shift_mask(packed & below_top, parts[e]) << size
+            x = packed
+            for f in folds:
+                x |= x >> f
+            return (x & row0, packed)
+
+        return (1, 1), push
+
+    parts = row_parts(group, exp)
+    all_rows = (1 << (exp * size)) - 1
+    # The singleton e sits in row 1 mod exp; with exp == 1 the only row is
+    # also the top one and the empty subsequence blocks 0 (hence `low`).
+    row1 = (1 % exp) * size
+    low = 1 if exp == 1 else 0
 
     def push(state, e):
-        mod = state[1:]
-        rows = list(mod)
-        pe = parts[e]
-        for r in range(exp):
-            x = mod[r]
-            if x:
-                rows[(r + 1) % exp] |= shift_mask(x, pe)
-        rows[1 % exp] |= 1 << e
-        blocked = rows[exp - 1] if exp > 1 else (rows[0] | 1)
-        return (blocked, *rows)
+        packed = state[1]
+        x = shift_mask(packed, parts[e])
+        packed |= ((x << size) & all_rows) | (x >> top) | (1 << (row1 + e))
+        return ((packed >> top) | low, packed)
 
-    return ((0 if exp > 1 else 1,) + (0,) * exp), push
+    return (low, 0), push
 
 
 @dataclass(frozen=True)
@@ -131,37 +153,42 @@ class SumProfile:
 def _knapsack_stages(seq: Sequence, limit: int):
     """Fill the (length, sum) table with rows 0..limit, one support element at a time.
 
-    Yields the live row list before the first support element (only the
-    empty subsequence) and after each one; a caller that keeps a stage
-    copies it.  Each copy of an element is incorporated separately
-    (multiplicities are small here; plain repetition beats binary splitting
-    in simplicity).
+    Yields the table, packed into one integer (row l at bits
+    [l*|G|, (l+1)*|G|), see _bits), before the first support element (only
+    the empty subsequence) and after each one.  Each copy of an element is
+    incorporated separately (multiplicities are small here; plain repetition
+    beats binary splitting in simplicity).
     """
-    parts = bit_tables(seq.group).parts
-    rows = [0] * (limit + 1)
-    rows[0] = 1
-    yield rows
-    processed = 0
+    size = seq.group.order
+    parts = row_parts(seq.group, limit)
+    below_top = (1 << (limit * size)) - 1
+    packed = 1
+    yield packed
     for i, mult in enumerate(seq.counts):
         if not mult:
             continue
         pe = parts[i]
         for _ in range(mult):
-            processed += 1
-            for l in range(min(limit - 1, processed - 1), -1, -1):
-                x = rows[l]
-                if x:
-                    rows[l + 1] |= shift_mask(x, pe)
-        yield rows
+            packed |= shift_mask(packed & below_top, pe) << size
+        yield packed
+
+
+def _knapsack(seq: Sequence, limit: int) -> int:
+    """The packed table of _knapsack_stages after the whole sequence."""
+    for packed in _knapsack_stages(seq, limit):
+        pass
+    return packed
 
 
 def build_profile(seq: Sequence, limit: int) -> SumProfile:
     """Exact table of (length, sum) pairs reachable by subsequences of seq."""
     if not 0 <= limit <= len(seq):
         raise ValueError(f"profile limit {limit} must lie in [0, |S|] = [0, {len(seq)}]")
-    for rows in _knapsack_stages(seq, limit):
-        pass
-    return SumProfile(seq.group, limit, tuple(rows))
+    packed = _knapsack(seq, limit)
+    size = seq.group.order
+    row = (1 << size) - 1
+    rows = tuple((packed >> (l * size)) & row for l in range(limit + 1))
+    return SumProfile(seq.group, limit, rows)
 
 
 def lacks(seq: Sequence, criterion: Criterion) -> bool:
@@ -188,7 +215,7 @@ def has_zero_sum_of_length(seq: Sequence, length: int) -> bool:
         return True
     if length > len(seq):
         return False
-    return bool(build_profile(seq, length).rows[length] & 1)
+    return bool((_knapsack(seq, length) >> (length * seq.group.order)) & 1)
 
 
 def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
@@ -200,31 +227,33 @@ def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     how many copies of each element the witness takes.
     """
     lengths = criterion.forbidden_lengths(seq.group.exponent, len(seq))
-    stages = [tuple(rows) for rows in _knapsack_stages(seq, lengths[-1] if lengths else 0)]
-    target = next((l for l in lengths if stages[-1][l] & 1), None)
+    stages = list(_knapsack_stages(seq, lengths[-1] if lengths else 0))
+    size = seq.group.order
+    target = next((l for l in lengths if (stages[-1] >> (l * size)) & 1), None)
     if target is None:
         return None
 
-    tables = bit_tables(seq.group)
+    neg = bit_tables(seq.group).neg
     add = add_table(seq.group)
-    items = list(seq.items())
+    support = [i for i, mult in enumerate(seq.counts) if mult]
     need_l, need_idx = target, 0
-    taken = [0] * len(items)
-    for j in range(len(items) - 1, -1, -1):
-        e, mult = items[j]
+    taken = [0] * size
+    for j in range(len(support) - 1, -1, -1):
+        i = support[j]
         prev = stages[j]
-        for c in range(min(mult, need_l) + 1):
-            back = add[need_idx][tables.neg[(c * e).index]]
-            if (prev[need_l - c] >> back) & 1:
-                taken[j] = c
+        back = need_idx  # need_idx - c * element_i, for c = 0, 1, ...
+        for c in range(min(seq.counts[i], need_l) + 1):
+            if (prev >> ((need_l - c) * size + back)) & 1:
+                taken[i] = c
                 need_l -= c
                 need_idx = back
                 break
+            back = add[back][neg[i]]
         else:
             raise RuntimeError("witness reconstruction lost the trail")
     if need_l != 0 or need_idx != 0:
         raise RuntimeError("witness reconstruction did not reach the empty state")
-    return Sequence.from_items(seq.group, [(e, c) for (e, _), c in zip(items, taken) if c])
+    return Sequence(seq.group, tuple(taken))
 
 
 def verify_shift_lemma(seq: Sequence, g: Element, case: int, *, n: Optional[int] = None) -> bool:

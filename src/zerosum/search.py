@@ -27,7 +27,7 @@ The re-expansion maps one itemgetter per automorphism and per translation
 
 Each node extends its parent's state by one push of the criterion's stepper
 (criteria._stepper); exists_lacking_subsequence() runs the same DFS over the
-sub-multisets of one sequence, down to a target length.
+sub-multisets of one sequence and stops at the first node of a target length.
 """
 
 from __future__ import annotations
@@ -164,10 +164,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _TargetReached(Exception):
+    pass
+
+
 class _Ctx:
     __slots__ = (
         "size", "neg", "push", "caps", "orbits", "budget", "nodes",
-        "best", "best_list", "cap", "progress", "complete",
+        "best", "best_list", "cap", "progress", "complete", "first_only",
     )
 
     def __init__(self, size, neg, push, caps, orbits, budget, cap, progress):
@@ -183,10 +187,13 @@ class _Ctx:
         self.best = -1
         self.best_list: list[tuple[int, ...]] = []
         self.complete = True
+        self.first_only = False  # stop at the first frontier node
 
 
 def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, limit, frontier) -> None:
     if frontier is not None and length == limit:
+        if ctx.first_only:
+            raise _TargetReached
         frontier.append((tuple(counts), state, start))
         return
     ctx.nodes += 1
@@ -331,7 +338,8 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
 
     (Lacking is hereditary, so a sequence of length >= target exists iff one
     of exactly target does.)  Runs the search DFS over the sub-multisets of
-    seq, capped by its multiplicities, down to the target length.
+    seq, capped by its multiplicities, and stops at the first node of the
+    target length.
     """
     if target_length <= 0:
         return True
@@ -340,6 +348,9 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
     tables = bit_tables(seq.group)
     state0, push = _stepper(seq.group, criterion)
     ctx = _Ctx(tables.size, tables.neg, push, seq.counts, None, math.inf, target_length, None)
-    frontier: list = []
-    _dfs(ctx, [0] * tables.size, state0, 0, 0, target_length, frontier)
-    return bool(frontier)
+    ctx.first_only = True
+    try:
+        _dfs(ctx, [0] * tables.size, state0, 0, 0, target_length, [])
+    except _TargetReached:
+        return True
+    return False

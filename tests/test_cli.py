@@ -140,6 +140,14 @@ def test_incomplete_extremal_prints_only_extremal_records(capsys):
                 assert all(rec["matches"] for rec in records)
 
 
+def test_empty_output_writes_nothing(tmp_path, capsys):
+    argv = ["extremal", "--group", "3,6", "--kind", "s", "--budget", "5"]
+    assert run(capsys, *argv) == (3, "")
+    path = tmp_path / "records.jsonl"
+    assert run(capsys, *argv, "--output", str(path)) == (3, "")
+    assert path.read_text() == ""
+
+
 def test_check_noshort_m4_x_values(capsys):
     code, out = run(capsys, "check", "noshort", "--m", "4")
     assert code == 0

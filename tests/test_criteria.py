@@ -15,7 +15,9 @@ from zerosum import (
     verify_shift_lemma,
     witness,
 )
-from conftest import grow_lacking, oracle_lacks, random_sequence
+from zerosum import _bits
+from zerosum.criteria import _knapsack_stages, _stepper
+from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
 
 ORACLE_GROUPS = [GroupSpec(2, 2), GroupSpec(1, 5), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 12)]
 
@@ -65,6 +67,96 @@ def test_profile_monotone_under_appending():
         p, q = build_profile(s, len(s)), build_profile(bigger, len(s))
         for l in range(len(s) + 1):
             assert p.rows[l] & ~q.rows[l] == 0  # true entries never become false
+
+
+def _unpack(packed: int, size: int, rows: int) -> list[int]:
+    """The rows of a packed table; nothing may lie above row rows-1."""
+    assert packed >> (rows * size) == 0
+    return [(packed >> (l * size)) & ((1 << size) - 1) for l in range(rows)]
+
+
+def _reach_rows(reach: set, n2: int, rows: int) -> list[int]:
+    """Bitmask of sums per length 0..rows-1 from (length, a, b) triples."""
+    out = [0] * rows
+    for l, a, b in reach:
+        if l < rows:
+            out[l] |= 1 << (a * n2 + b)
+    return out
+
+
+def _add_term(reach: set, e, n1: int, n2: int) -> set:
+    return reach | {(l + 1, (a + e.a) % n1, (b + e.b) % n2) for l, a, b in reach}
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (1, 36)])
+def test_packed_rows_match_subset_reach(n1, n2):
+    """Every stepper state and knapsack stage unpacks to the brute-force
+    (length, sum) sets of its prefix, while the repeated-row table grows."""
+    group = GroupSpec(n1, n2)
+    size, exp = group.order, group.exponent
+    rng = random.Random(97 * n1 + n2)
+    terms = [group.element_at(rng.randrange(size)) for _ in range(2 * exp + 3)]
+    _bits._ROW_PARTS.pop(group, None)
+    steppers = {c: _stepper(group, c) for c in Criterion}
+    states = {c: state for c, (state, _) in steppers.items()}
+    rows_at_start = _bits._ROW_PARTS[group][0]
+    blocks = {  # does a forbidden length end one term after length l?
+        Criterion.ANY: lambda l: True,
+        Criterion.SHORT: lambda l: l + 1 <= exp,
+        Criterion.EXACT_EXP: lambda l: l + 1 == exp,
+        Criterion.EXP_MULTIPLE: lambda l: (l + 1) % exp == 0,
+    }
+
+    reach = {(0, 0, 0)}
+    for k in range(len(terms) + 1):
+        if k:
+            e = terms[k - 1]
+            reach = _add_term(reach, e, n1, n2)
+            states = {c: steppers[c][1](states[c], e.index) for c in Criterion}
+        by_len = _reach_rows(reach, n2, k + 1)
+        for c in Criterion:
+            blocked = 0
+            for l, x in enumerate(by_len):
+                if blocks[c](l):
+                    blocked |= x
+            assert states[c][0] == blocked, (k, c)
+        assert len(states[Criterion.ANY]) == 1  # ANY's blocked set is its whole state
+        short = (by_len + [0] * exp)[:exp]
+        assert _unpack(states[Criterion.SHORT][1], size, exp) == short
+        assert _unpack(states[Criterion.EXACT_EXP][1], size, exp) == short
+        mod = [0] * exp
+        for l, x in enumerate(by_len[1:], 1):
+            mod[l % exp] |= x
+        assert _unpack(states[Criterion.EXP_MULTIPLE][1], size, exp) == mod
+        # The last knapsack stage of each prefix; limit k grows the table.
+        seq = Sequence.from_items(group, [(t, 1) for t in terms[:k]])
+        for limit in {0, min(exp, k), k}:
+            *_, last = _knapsack_stages(seq, limit)
+            assert _unpack(last, size, limit + 1) == by_len[:limit + 1], (k, limit)
+            assert build_profile(seq, limit).rows == tuple(by_len[:limit + 1])
+    assert _bits._ROW_PARTS[group][0] > rows_at_start
+
+    # Every stage of the whole sequence: support elements in index order.
+    stages = list(_knapsack_stages(seq, len(seq)))
+    items = list(seq.items())
+    assert len(stages) == len(items) + 1
+    stage_reach = {(0, 0, 0)}
+    assert _unpack(stages[0], size, len(seq) + 1) == _reach_rows(stage_reach, n2, len(seq) + 1)
+    for (e, mult), stage in zip(items, stages[1:]):
+        for _ in range(mult):
+            stage_reach = _add_term(stage_reach, e, n1, n2)
+        assert _unpack(stage, size, len(seq) + 1) == _reach_rows(stage_reach, n2, len(seq) + 1)
+
+    # witness: None exactly when no forbidden length is reachable at sum 0,
+    # otherwise a zero-sum sub-multiset of the least reachable such length.
+    for c in Criterion:
+        lengths = c.forbidden_lengths(exp, len(seq))
+        least = next((l for l in lengths if (l, 0, 0) in reach), None)
+        w = witness(seq, c)
+        if least is None:
+            assert w is None
+        else:
+            assert seq.contains(w) and sum_of(w).is_zero() and len(w) == least
 
 
 def test_lacks_examples():
