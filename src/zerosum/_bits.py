@@ -95,19 +95,13 @@ def add_table(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def shift_permutations(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """For each h: the permutation i -> index(element_i + h)."""
-    add = add_table(group)
-    return tuple(tuple(add[i][h] for i in range(group.order)) for h in range(group.order))
-
-
-@lru_cache(maxsize=None)
 def shift_getters(group: GroupSpec) -> tuple[itemgetter, ...]:
     """For each h != 0: a getter mapping a multiplicity table to a translate.
 
-    The getter reads counts[i + h] into index i, i.e. translates by -h; over
-    all h != 0 that runs over every nontrivial translation.  The identity is
-    left out, which also keeps every getter at two or more items (a
-    one-item itemgetter, as C1 would need, returns a scalar, not a tuple).
+    The getter for h is row h of add_table, so it reads counts[h + i] into
+    index i, i.e. translates by -h; over all h != 0 that runs over every
+    nontrivial translation.  The identity is left out, which also keeps
+    every getter at two or more items (a one-item itemgetter, as C1 would
+    need, returns a scalar, not a tuple).
     """
-    return tuple(itemgetter(*p) for p in shift_permutations(group)[1:])
+    return tuple(itemgetter(*row) for row in add_table(group)[1:])

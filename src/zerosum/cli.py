@@ -2,7 +2,7 @@
 
 Exit codes partition outcomes: 0 verified, 1 mathematical counterexample
 found, 2 user error, 3 node budget exhausted.  Data goes to stdout (or
---output), progress to stderr.
+--output), errors to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,19 +56,7 @@ class RunConfig:
             aut_pruning=self.prune,
             workers=self.workers,
             node_budget=self.budget,
-            progress=_progress_printer(),
         )
-
-
-def _progress_printer():
-    if not sys.stderr.isatty():
-        return None
-    start = time.time()
-
-    def show(nodes: int, depth: int) -> None:
-        print(f"... {nodes} nodes, depth {depth}, {time.time() - start:.0f}s", file=sys.stderr)
-
-    return show
 
 
 def _emit(cfg: RunConfig, text: str) -> None:

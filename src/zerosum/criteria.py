@@ -3,9 +3,10 @@
 Decisions run on exact reachability tables over (subsequence length, sum),
 never on the 2^|S| subsets.  The per-criterion stepper (_stepper) grows one
 term at a time and keeps only the rows its criterion needs; lacks(), the
-search DFS and exists_lacking_subsequence() run on it.  The length-indexed
-profile, a bounded-knapsack pass over the support, records every exact
-length; build_profile(), has_zero_sum_of_length() and witness() run on it.
+search DFS and exists_lacking_subsequence() share one per (group, criterion)
+(_shared_stepper).  The length-indexed profile, a bounded-knapsack pass over
+the support, records every exact length; build_profile(),
+has_zero_sum_of_length() and witness() run on it.
 
 Both tables pack their rows into one integer, row l at bits
 [l*|G|, (l+1)*|G|), so adding a term translates every row with one
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from ._bits import add_table, bit_tables, row_parts, shift_mask
@@ -131,6 +133,12 @@ def _stepper(group: GroupSpec, criterion: Criterion):
     return (low, 0), push
 
 
+@lru_cache(maxsize=None)
+def _shared_stepper(group: GroupSpec, criterion: Criterion):
+    """_stepper(group, criterion), built once: states are tuples and push is pure."""
+    return _stepper(group, criterion)
+
+
 @dataclass(frozen=True)
 class SumProfile:
     """Reachability table: entry (l, g) says some length-l subsequence sums to g.
@@ -197,7 +205,7 @@ def lacks(seq: Sequence, criterion: Criterion) -> bool:
     Feeds the terms to the criterion's stepper in index order and stops at
     the first term that would complete a forbidden zero-sum.
     """
-    state, push = _stepper(seq.group, criterion)
+    state, push = _shared_stepper(seq.group, criterion)
     neg = bit_tables(seq.group).neg
     for e, mult in enumerate(seq.counts):
         for _ in range(mult):

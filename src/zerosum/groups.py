@@ -181,24 +181,15 @@ def is_generating_pair(g1: Element, g2: Element) -> bool:
 def is_basis_pair(g1: Element, g2: Element) -> bool:
     """True iff {g1, g2} generates the group and the two elements are independent.
 
-    Independence: m1*g1 + m2*g2 = 0 forces m1*g1 = 0 and m2*g2 = 0.
+    Independence: m1*g1 + m2*g2 = 0 forces m1*g1 = 0 and m2*g2 = 0.  For a
+    generating pair that says <g1> and <g2> meet only in 0, which holds iff
+    ord(g1)*ord(g2) = |G|.  A group of rank two is not cyclic, so neither
+    element of a generating pair is 0.
     """
     g1._require_same_group(g2)
-    grp = g1.group
-    if grp.rank != 2:
+    if g1.group.rank != 2:
         raise ValueError("basis query on group of rank != 2")
-    if g1.is_zero() or g2.is_zero():
-        return False
-    if not is_generating_pair(g1, g2):
-        return False
-    multiples2 = [m2 * g2 for m2 in range(order_of(g2))]
-    for m1 in range(order_of(g1)):
-        x = m1 * g1
-        x_zero = x.is_zero()
-        for y in multiples2:
-            if (x + y).is_zero() and not (x_zero and y.is_zero()):
-                return False
-    return True
+    return is_generating_pair(g1, g2) and order_of(g1) * order_of(g2) == g1.group.order
 
 
 @dataclass(frozen=True, order=True)

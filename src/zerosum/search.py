@@ -26,7 +26,9 @@ The re-expansion maps one itemgetter per automorphism and per translation
 (groups.aut_getters, _bits.shift_getters) over the tables found so far.
 
 Each node extends its parent's state by one push of the criterion's stepper
-(criteria._stepper); exists_lacking_subsequence() runs the same DFS over the
+(criteria._stepper).  One DFS (_dfs) serves every walk: the shallow walk from
+the root stops at depth _TASK_DEPTH and collects the seed tasks there, each
+seed task walks its subtree, and exists_lacking_subsequence() walks the
 sub-multisets of one sequence and stops at the first node of a target length.
 """
 
@@ -37,17 +39,17 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_all_start_methods, get_context
-from typing import Callable, Optional
+from typing import Optional
 
 from ._bits import bit_tables, shift_getters
-from .criteria import Criterion, _stepper
+# _stepper stays importable from here: perfbench finds the push closures through it.
+from .criteria import Criterion, _shared_stepper, _stepper  # noqa: F401
 from .groups import GroupSpec, aut_getters, aut_permutations, automorphisms
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
 AUT_PRUNING_MAX = 1000
 _TASK_DEPTH = 2
-_PROGRESS_MASK = (1 << 18) - 1
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,10 @@ class SearchOptions:
     aut_pruning / shift_normalize default to automatic choices; an explicit
     True/False forces them.  node_budget None falls back to the
     ZEROSUM_BUDGET environment variable, then to DEFAULT_NODE_BUDGET; the
-    budget caps visited nodes per search task.  workers > 1 runs the seed
-    tasks in a fork pool, or serially where the platform cannot fork.
+    budget caps visited nodes per search task (the shallow walk from the
+    root, which is always visited, and each seed task).  workers > 1 runs
+    the seed tasks in a fork pool, or serially where the platform cannot
+    fork.
     collect_all is read only by constants.longest_lacking: it makes the
     report carry every extremal sequence instead of the least one.
     """
@@ -69,7 +73,6 @@ class SearchOptions:
     shift_normalize: Optional[bool] = None
     workers: int = 1
     node_budget: Optional[int] = None
-    progress: Optional[Callable[[int, int], None]] = None
 
 
 @dataclass
@@ -169,39 +172,42 @@ class _TargetReached(Exception):
 
 
 class _Ctx:
+    """One walk's constants and tallies.  A node of length limit is not
+    visited but appended to frontier or, with no frontier, ends the walk
+    (_TargetReached); limit None walks the whole subtree."""
+
     __slots__ = (
-        "size", "neg", "push", "caps", "orbits", "budget", "nodes",
-        "best", "best_list", "cap", "progress", "complete", "first_only",
+        "size", "neg", "push", "caps", "orbits", "budget", "cap", "limit", "frontier",
+        "nodes", "best", "best_list", "complete",
     )
 
-    def __init__(self, size, neg, push, caps, orbits, budget, cap, progress):
-        self.size = size
-        self.neg = neg
-        self.push = push
+    def __init__(self, group, criterion, caps, orbits, budget, cap, limit=None, frontier=None):
+        tables = bit_tables(group)
+        self.size = tables.size
+        self.neg = tables.neg
+        self.push = _shared_stepper(group, criterion)[1]
         self.caps = caps
         self.orbits = orbits
         self.budget = budget
         self.cap = cap
-        self.progress = progress
+        self.limit = limit
+        self.frontier = frontier
         self.nodes = 0
         self.best = -1
         self.best_list: list[tuple[int, ...]] = []
         self.complete = True
-        self.first_only = False  # stop at the first frontier node
 
 
-def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, limit, frontier) -> None:
-    if frontier is not None and length == limit:
-        if ctx.first_only:
+def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int) -> None:
+    if length == ctx.limit:
+        if ctx.frontier is None:
             raise _TargetReached
-        frontier.append((tuple(counts), state, start))
+        ctx.frontier.append((tuple(counts), state, start))
         return
     ctx.nodes += 1
     if ctx.nodes > ctx.budget:
         ctx.complete = False
         raise _BudgetExhausted
-    if ctx.progress is not None and not (ctx.nodes & _PROGRESS_MASK):
-        ctx.progress(ctx.nodes, length)
     if length >= ctx.best:
         if length > ctx.best:
             if length > ctx.cap:
@@ -227,18 +233,16 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, limit, fr
         if orbits is not None and not _is_orbit_minimal(counts, orbits):
             counts[e] -= 1
             continue
-        _dfs(ctx, counts, push(state, e), e, length + 1, limit, frontier)
+        _dfs(ctx, counts, push(state, e), e, length + 1)
         counts[e] -= 1
 
 
 def _run_seed(group, criterion, seed, prune, budget, cap):
     counts0, state, start = seed
-    tables = bit_tables(group)
-    _, push = _stepper(group, criterion)
     orbits = _orbit_table(group) if prune else None
-    ctx = _Ctx(tables.size, tables.neg, push, None, orbits, budget, cap, None)
+    ctx = _Ctx(group, criterion, None, orbits, budget, cap)
     try:
-        _dfs(ctx, list(counts0), state, start, _TASK_DEPTH, None, None)
+        _dfs(ctx, list(counts0), state, start, _TASK_DEPTH)
     except _BudgetExhausted:
         pass
     return ctx.best, ctx.best_list, ctx.nodes, ctx.complete
@@ -277,34 +281,28 @@ def longest_lacking_search(
             prune = False
     else:
         prune = opts.aut_pruning
+
+    # Shallow walk: visit the root and depth-1 nodes, seed tasks at depth 2.
+    # The root is visited whatever the budget, hence a budget of at least 1.
+    state0, push = _shared_stepper(group, criterion)
     orbits = _orbit_table(group) if prune else None
-
-    tables = bit_tables(group)
-    state0, push = _stepper(group, criterion)
-    ctx = _Ctx(tables.size, tables.neg, push, None, orbits, budget, cap, opts.progress)
-
-    # Shallow walk: record the root and depth-1 nodes, seed tasks at depth 2.
-    frontier: list = []
-    counts = [0] * tables.size
-    ctx.nodes += 1
-    ctx.best = 0
-    ctx.best_list = [tuple(counts)]
-    root_end = 1 if shiftn else tables.size
+    ctx = _Ctx(group, criterion, None, orbits, max(budget, 1), cap, _TASK_DEPTH, [])
+    counts = [0] * ctx.size
     try:
-        for e in range(root_end):
-            if (state0[0] >> tables.neg[e]) & 1:
-                continue
-            counts[e] = 1
-            if orbits is not None and not _is_orbit_minimal(counts, orbits):
-                counts[e] = 0
-                continue
-            _dfs(ctx, counts, push(state0, e), e, 1, _TASK_DEPTH, frontier)
-            counts[e] = 0
+        if shiftn:
+            # The root's one child is {0}, blocked only on C1; every
+            # automorphism fixes 0, so {0} is orbit-minimal.
+            ctx.nodes, ctx.best, ctx.best_list = 1, 0, [tuple(counts)]
+            if not state0[0] & 1:
+                counts[0] = 1
+                _dfs(ctx, counts, push(state0, 0), 0, 1)
+        else:
+            _dfs(ctx, counts, state0, 0, 0)
     except _BudgetExhausted:
         pass
 
     best, best_list, nodes, complete = ctx.best, ctx.best_list, ctx.nodes, ctx.complete
-    args = [(group, criterion, seed, prune, budget, cap) for seed in frontier]
+    args = [(group, criterion, seed, prune, budget, cap) for seed in ctx.frontier]
     # Where the platform cannot fork, the seed tasks run serially: same results.
     if opts.workers > 1 and len(args) > 1 and "fork" in get_all_start_methods():
         with get_context("fork").Pool(opts.workers) as pool:
@@ -345,12 +343,10 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
         return True
     if target_length > len(seq):
         return False
-    tables = bit_tables(seq.group)
-    state0, push = _stepper(seq.group, criterion)
-    ctx = _Ctx(tables.size, tables.neg, push, seq.counts, None, math.inf, target_length, None)
-    ctx.first_only = True
+    state0 = _shared_stepper(seq.group, criterion)[0]
+    ctx = _Ctx(seq.group, criterion, seq.counts, None, math.inf, target_length, target_length)
     try:
-        _dfs(ctx, [0] * tables.size, state0, 0, 0, target_length, [])
+        _dfs(ctx, [0] * ctx.size, state0, 0, 0)
     except _TargetReached:
         return True
     return False

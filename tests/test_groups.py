@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import oracle_order
+from conftest import ORACLE_GROUPS_16, oracle_order
 
 from zerosum import (
     GroupSpec,
@@ -92,6 +92,30 @@ def test_basis_pair_examples():
     assert not is_basis_pair(h.element(1, 0), h.element(1, 0))
     with pytest.raises(ValueError):
         is_basis_pair(GroupSpec(1, 5).element(0, 1), GroupSpec(1, 5).element(0, 2))
+
+
+@pytest.mark.parametrize("n1,n2", [(n1, n2) for n1, n2 in ORACLE_GROUPS_16 if n1 > 1])
+def test_basis_pair_matches_definition(n1, n2):
+    # definition, with plain modular arithmetic on coordinates: the multiples
+    # i*g1 + j*g2 cover the group, and each one that is 0 has i*g1 = j*g2 = 0
+    g = GroupSpec(n1, n2)
+    exp = g.exponent
+
+    def mult(k, e):
+        return (k * e[0] % n1, k * e[1] % n2)
+
+    def add(x, y):
+        return ((x[0] + y[0]) % n1, (x[1] + y[1]) % n2)
+
+    for e1 in g.elements():
+        for e2 in g.elements():
+            x, y = (e1.a, e1.b), (e2.a, e2.b)
+            combos = [(mult(i, x), mult(j, y)) for i in range(exp) for j in range(exp)]
+            spans = len({add(u, v) for u, v in combos}) == g.order
+            independent = all(
+                u == v == (0, 0) for u, v in combos if add(u, v) == (0, 0)
+            )
+            assert is_basis_pair(e1, e2) == (spans and independent), (e1, e2)
 
 
 def test_generating_pair_examples():

@@ -18,7 +18,7 @@ from zerosum._bits import shift_getters
 from zerosum.groups import aut_getters, aut_permutations
 from zerosum.search import _is_orbit_minimal, _orbit_table, longest_lacking_search
 
-from conftest import ORACLE_GROUPS_16
+from conftest import ORACLE_GROUPS_16, oracle_lacks
 
 KERNEL_GROUPS = [(1, 1), *ORACLE_GROUPS_16, (5, 5), (6, 6)]
 
@@ -127,6 +127,41 @@ def test_reduced_search_matches_unreduced(n1, n2):
                 assert out.complete
                 assert out.max_length == base.max_length, (crit, prune, shiftn)
                 assert out.sequences == base.sequences, (crit, prune, shiftn)
+
+
+@pytest.mark.parametrize("n1,n2,crit,nodes", [
+    (2, 4, Criterion.SHORT, 21),
+    (2, 4, Criterion.EXACT_EXP, 111),
+    (3, 3, Criterion.EXP_MULTIPLE, 19),
+    (1, 5, Criterion.EXACT_EXP, 50),
+    (2, 2, Criterion.ANY, 3),
+    (1, 6, Criterion.EXACT_EXP, 355),
+])
+def test_default_search_visits_exactly_the_reduced_downset(n1, n2, crit, nodes):
+    # With default options the search visits each multiset that lacks the
+    # criterion, is the largest table in its orbit and, under translation
+    # normalization (s and s_exp_mult), is empty or contains 0: no more, no less.
+    group = GroupSpec(n1, n2)
+    perms = aut_permutations(group)
+    shiftn = crit in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
+    out = longest_lacking_search(group, crit)
+    want = sum(
+        oracle_lacks(Sequence(group, t), crit)
+        for t in small_tables(group, out.max_length)
+        if not (shiftn and any(t) and not t[0]) and all(image(t, p) <= t for p in perms)
+    )
+    assert out.nodes == want == nodes
+
+
+@pytest.mark.parametrize("crit", [Criterion.ANY, Criterion.EXACT_EXP])
+@pytest.mark.parametrize("budget", [0, 1])
+def test_tiny_budget_visits_the_root_and_one_child(crit, budget):
+    # The root is visited whatever the budget; the walk stops at the first
+    # node past the budget, which is counted.
+    group = GroupSpec(2, 4)
+    out = longest_lacking_search(group, crit, SearchOptions(node_budget=budget))
+    assert not out.complete
+    assert (out.max_length, out.sequences, out.nodes) == (0, [(0,) * group.order], 2)
 
 
 def test_workers_fall_back_to_serial_without_fork(monkeypatch):
