@@ -27,7 +27,7 @@ from .inverse import (
     reproduce_exp_minus_1,
     verify_lemma,
 )
-from .search import SearchOptions
+from .search import AUT_PRUNING_MAX, SearchOptions
 from .sequences import parse_sequence
 
 EXIT_OK = 0
@@ -246,7 +246,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None,
                    help="node budget per search task (default: ZEROSUM_BUDGET env or built-in)")
     p.add_argument("--prune", choices=["auto", "on", "off"], default="auto",
-                   help="automorphism orbit pruning")
+                   help=f"automorphism orbit pruning; auto turns it off when |Aut(G)| > "
+                        f"{AUT_PRUNING_MAX} (e.g. C7+C7), on keeps it")
     p.add_argument("--output", default=None, help="write results to a file instead of stdout")
 
 

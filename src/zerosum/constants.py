@@ -95,8 +95,9 @@ def longest_lacking(
 
     With collect_all the report carries every extremal sequence, otherwise
     just the least one (in multiplicity-table order, so the choice does not
-    depend on search options).  A search cut short by the node budget
-    reports only a lower bound (see SearchReport).
+    depend on search options), taken without building the full orbit.  A
+    search cut short by the node budget reports only a lower bound (see
+    SearchReport).
     """
     opts = options or SearchOptions()
     formula = formula_value(group, criterion)
@@ -108,7 +109,7 @@ def longest_lacking(
     elif opts.collect_all:
         kept = out.sequences
     else:
-        kept = out.sequences[:1]
+        kept = [out.least]
     return SearchReport(
         group=group,
         criterion=criterion,

@@ -20,10 +20,10 @@ Two optional reductions shrink the tree without changing any result:
   chosen element to be 0 since every nonempty sequence has a translate
   containing 0.
 
-Whenever a reduction is on, the collected maximal set is re-expanded over the
-orbit before reporting, so all option combinations return identical results.
-The re-expansion maps one itemgetter per automorphism and per translation
-(groups.aut_getters, _bits.shift_getters) over the tables found so far.
+A search returns the maximal tables it kept with the itemgetters of the
+reductions in force (groups.aut_getters, _bits.shift_getters); SearchOutcome
+re-expands them over the orbit, into the same maximal set under every option
+combination, only when a caller reads that set.
 
 Each node extends its parent's state by one push of the criterion's stepper
 (criteria._stepper).  One DFS (_dfs) serves every walk: the shallow walk from
@@ -37,8 +37,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from multiprocessing import get_all_start_methods, get_context
+from operator import itemgetter
 from typing import Optional
 
 from ._bits import bit_tables, shift_getters
@@ -64,8 +65,12 @@ class SearchOptions:
     root, which is always visited, and each seed task).  workers > 1 runs
     the seed tasks in a fork pool, or serially where the platform cannot
     fork.
+    Automatic pruning turns off without a word when |Aut(G)| >
+    AUT_PRUNING_MAX (1000), so C7+C7 (|Aut| = 2016) runs unpruned unless
+    aut_pruning=True (CLI --prune on).
     collect_all is read only by constants.longest_lacking: it makes the
-    report carry every extremal sequence instead of the least one.
+    report carry every extremal sequence (the full orbit) instead of the
+    least one (SearchOutcome.least).
     """
 
     collect_all: bool = False
@@ -77,10 +82,40 @@ class SearchOptions:
 
 @dataclass
 class SearchOutcome:
+    """The maximal multisets the DFS kept (as counts, sorted, distinct) and
+    the getters of the reductions in force: aut_getters when pruning,
+    shift_getters when normalizing.  sequences builds their full orbit on
+    first read; least gives its first table without building it.
+    """
+
     max_length: int
-    sequences: list[tuple[int, ...]]  # every maximal multiset, as counts, sorted
+    representatives: list[tuple[int, ...]]
     nodes: int
     complete: bool
+    aut: tuple[itemgetter, ...] = ()
+    shifts: tuple[itemgetter, ...] = ()
+
+    @cached_property
+    def sequences(self) -> list[tuple[int, ...]]:
+        """Every maximal multiset, as counts, sorted."""
+        found = set(self.representatives)
+        for getters in (self.aut, self.shifts):
+            base = list(found)
+            for image in getters:
+                found.update(map(image, base))
+        return sorted(found)
+
+    @property
+    def least(self) -> tuple[int, ...]:
+        """sequences[0], as a running minimum over the images: no set, no sort."""
+        tables = self.representatives
+        if self.shifts:
+            # Every image is an automorphic image of a translate (tuple stands
+            # for the identity getter); automorphisms fix index 0, so only the
+            # translates with the least count there can win.
+            z = min(map(min, tables))
+            tables = [h(t) for t in tables for h, c in zip((tuple, *self.shifts), t) if c == z]
+        return min(min(map(g, tables)) for g in (tuple, *self.aut))
 
 
 def resolve_budget(explicit: Optional[int]) -> int:
@@ -260,8 +295,8 @@ def longest_lacking_search(
 ) -> SearchOutcome:
     """Exhaust the downset of criterion-lacking multisets over the group.
 
-    Returns the maximum length together with every maximal multiset (the
-    full set regardless of reductions; see the module docstring).
+    Returns the maximum length and the maximal multisets, kept as orbit
+    representatives (see the module docstring).
     """
     opts = options or SearchOptions()
     if opts.workers < 1:
@@ -319,16 +354,8 @@ def longest_lacking_search(
         elif b == best:
             best_list.extend(bl)
 
-    found = set(best_list)
-    if prune:
-        base = list(found)
-        for image in aut_getters(group):
-            found.update(map(image, base))
-    if shiftn:
-        base = list(found)
-        for image in shift_getters(group):
-            found.update(map(image, base))
-    return SearchOutcome(best, sorted(found), nodes, complete)
+    reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())
+    return SearchOutcome(best, sorted(set(best_list)), nodes, complete, *reductions)
 
 
 def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_length: int) -> bool:

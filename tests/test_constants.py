@@ -135,6 +135,32 @@ def test_single_example_is_least_of_full_set():
     assert one.extremal_examples == full.extremal_examples[:1]
 
 
+@pytest.mark.parametrize("n1,n2", [(3, 3), (2, 6), (4, 4)])
+def test_single_example_never_builds_the_orbit(monkeypatch, n1, n2):
+    # collect_all=True reports the whole sorted orbit, which equals the
+    # unreduced search's maximal set; without it the report holds the first
+    # of those and must not build the orbit at all.
+    from zerosum.search import SearchOutcome, longest_lacking_search
+
+    group = GroupSpec(n1, n2)
+    full = {}
+    for crit in Criterion:
+        report = longest_lacking(group, crit, SearchOptions(collect_all=True))
+        full[crit] = report.to_json(include_volatile=False)
+        unreduced = longest_lacking_search(
+            group, crit, SearchOptions(aut_pruning=False, shift_normalize=False)
+        )
+        assert full[crit]["extremals"] == [Sequence(group, c).text() for c in unreduced.sequences]
+
+    def no_orbit(self):
+        raise AssertionError("the full orbit was built")
+
+    monkeypatch.setattr(SearchOutcome, "sequences", property(no_orbit))
+    for crit in Criterion:
+        one = longest_lacking(group, crit).to_json(include_volatile=False)
+        assert one == {**full[crit], "extremals": full[crit]["extremals"][:1]}, crit
+
+
 def test_budget_exhaustion_flags_incomplete():
     r = longest_lacking(GroupSpec(3, 6), Criterion.EXACT_EXP, SearchOptions(node_budget=50))
     assert not r.complete

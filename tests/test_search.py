@@ -111,22 +111,47 @@ TOO_BIG_FOR_EXP_LENGTH = {(1, 12), (1, 13), (1, 16), (2, 8)}
 
 @pytest.mark.parametrize("n1,n2", REDUCTION_GROUPS)
 def test_reduced_search_matches_unreduced(n1, n2):
+    # Under every setting the least table and the lazily built orbit equal
+    # the unreduced search's sorted list; C3+C3 also runs each setting
+    # through the two-worker pool.
     group = GroupSpec(n1, n2)
     for crit in Criterion:
         shift_sound = crit in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
         if shift_sound and (n1, n2) in TOO_BIG_FOR_EXP_LENGTH:
             continue
         base = longest_lacking_search(group, crit, SearchOptions(aut_pruning=False, shift_normalize=False))
+        assert base.least == base.sequences[0] == base.representatives[0], crit
         for prune in (False, True):
             for shiftn in ((False, True) if shift_sound else (False,)):
-                if not (prune or shiftn):
-                    continue
-                out = longest_lacking_search(
-                    group, crit, SearchOptions(aut_pruning=prune, shift_normalize=shiftn)
-                )
-                assert out.complete
-                assert out.max_length == base.max_length, (crit, prune, shiftn)
-                assert out.sequences == base.sequences, (crit, prune, shiftn)
+                for workers in ((1, 2) if (n1, n2) == (3, 3) else (1,)):
+                    if not (prune or shiftn or workers > 1):
+                        continue
+                    key = (crit, prune, shiftn, workers)
+                    out = longest_lacking_search(group, crit, SearchOptions(
+                        aut_pruning=prune, shift_normalize=shiftn, workers=workers))
+                    assert out.complete
+                    assert out.max_length == base.max_length, key
+                    assert out.least == base.sequences[0], key
+                    assert out.sequences == base.sequences, key
+
+
+@pytest.mark.parametrize("crit", list(Criterion))
+def test_least_is_the_first_of_the_orbit_on_c5_c5(crit):
+    # The orbit re-expansion and the running minimum share no code; C5+C5 is
+    # too big to search unreduced, so its least table is checked against the
+    # lazily built orbit, itself checked against the plain images of the
+    # representatives under some automorphisms and translations.
+    group = GroupSpec(5, 5)
+    out = longest_lacking_search(group, crit)
+    orbit = out.sequences
+    assert out.least == orbit[0]
+    members = set(orbit)
+    assert orbit == sorted(members) and members.issuperset(out.representatives)
+    shifts = range(group.order) if out.shifts else [0]
+    rep = out.representatives[-1]
+    for p in aut_permutations(group)[::37]:
+        for h in shifts:
+            assert translate(group, image(rep, p), h) in members
 
 
 @pytest.mark.parametrize("n1,n2,crit,nodes", [
