@@ -277,6 +277,53 @@ def aut_getters(group: GroupSpec) -> tuple[itemgetter, ...]:
     return tuple(itemgetter(*p) for p in aut_permutations(group))
 
 
+@lru_cache(maxsize=None)
+def _aut_rows(group: GroupSpec):
+    """The getters of Aut(G), tuple (the identity) first, and rows[j][v]: the
+    bitset of the getters that read index v at position j."""
+    n = group.order
+    rows = [[0] * n for _ in range(n)]
+    for bit, p in enumerate((range(n), *aut_permutations(group))):
+        for j, v in enumerate(p):
+            rows[j][v] |= 1 << bit
+    return (tuple, *aut_getters(group)), rows
+
+
+def least_image(counts, group: GroupSpec, bound: tuple | None = None) -> tuple | None:
+    """min(counts, *(g(counts) for g in aut_getters(group))) as a tuple; with
+    a bound, None as soon as that minimum is known to be >= bound.
+
+    Keeps as one int bitset the getters tied for the least prefix.  At
+    position j the least count is 0 if a tied getter reads outside the
+    support, else the least support count a tied getter reads; the getters
+    that read it stay, and a lone one left finishes the image.  One row's
+    sets are disjoint (a getter reads one index), so sum is their union.
+    """
+    getters, rows = _aut_rows(group)
+    support = [v for v, c in enumerate(counts) if c]
+    alive = (1 << len(getters)) - 1
+    tight = bound is not None
+    for j, row in enumerate(rows):
+        if not alive & (alive - 1):
+            break
+        hit = 0
+        for v in support:
+            hit |= row[v]
+        rest = alive & ~hit
+        if rest:
+            alive, c = rest, 0
+        else:
+            c = min(counts[v] for v in support if row[v] & alive)
+            alive &= sum([row[v] for v in support if counts[v] == c])
+        if tight:
+            if c > bound[j]:
+                return None
+            tight = c == bound[j]
+    # One getter is left, or those left tie everywhere: any one gives the image.
+    image = getters[alive.bit_length() - 1](counts)
+    return None if tight and image >= bound else image
+
+
 def natural_projection(group: GroupSpec) -> tuple[GroupSpec, Callable[[Element], Element]]:
     """Quotient by H = {m*g : g in G}: C_m + C_mn -> C_m + C_m, (a, b) -> (a, b mod m).
 

@@ -12,8 +12,8 @@ Two optional reductions shrink the tree without changing any result:
   orbit of maximal sequences keeps its representative.  The test is a
   lex-leader comparison against every automorphism (Crawford, Ginsberg,
   Luks and Roy, KR 1996), walked over a prefix trie of the automorphism
-  permutations (_orbit_table) so that comparisons at a prefix the
-  permutations share are made once;
+  permutations (_orbit_table): a shared prefix is compared once, and a lone
+  permutation finishes with one tuple compare of its getter's image;
 * translation normalization, sound only for the criteria that forbid
   zero-sums of lengths divisible by exp(G) (translating a length-L
   subsequence changes its sum by L*g = 0 when exp | L), forces the first
@@ -22,8 +22,8 @@ Two optional reductions shrink the tree without changing any result:
 
 A search returns the maximal tables it kept with the itemgetters of the
 reductions in force (groups.aut_getters, _bits.shift_getters); SearchOutcome
-re-expands them over the orbit, into the same maximal set under every option
-combination, only when a caller reads that set.
+re-expands them over the orbit only when a caller reads that set (the same
+set under every option), and finds its least table by groups.least_image.
 
 Each node extends its parent's state by one push of the criterion's stepper
 (criteria._stepper).  One DFS (_dfs) serves every walk: the shallow walk from
@@ -45,7 +45,7 @@ from typing import Optional
 from ._bits import bit_tables, shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
 from .criteria import Criterion, _shared_stepper, _stepper  # noqa: F401
-from .groups import GroupSpec, aut_getters, aut_permutations, automorphisms
+from .groups import GroupSpec, aut_getters, aut_permutations, automorphisms, least_image
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -82,12 +82,13 @@ class SearchOptions:
 
 @dataclass
 class SearchOutcome:
-    """The maximal multisets the DFS kept (as counts, sorted, distinct) and
-    the getters of the reductions in force: aut_getters when pruning,
-    shift_getters when normalizing.  sequences builds their full orbit on
-    first read; least gives its first table without building it.
+    """The maximal multisets the DFS kept (as counts, sorted, distinct), the
+    group and the getters of the reductions in force: aut_getters when
+    pruning, shift_getters when normalizing.  sequences builds their full
+    orbit on first read; least finds its first table by least_image.
     """
 
+    group: GroupSpec
     max_length: int
     representatives: list[tuple[int, ...]]
     nodes: int
@@ -107,7 +108,8 @@ class SearchOutcome:
 
     @property
     def least(self) -> tuple[int, ...]:
-        """sequences[0], as a running minimum over the images: no set, no sort."""
+        """sequences[0], as least_image over the representatives (or their
+        translates) with the best so far as the bound: no orbit, no sort."""
         tables = self.representatives
         if self.shifts:
             # Every image is an automorphic image of a translate (tuple stands
@@ -115,7 +117,12 @@ class SearchOutcome:
             # translates with the least count there can win.
             z = min(map(min, tables))
             tables = [h(t) for t in tables for h, c in zip((tuple, *self.shifts), t) if c == z]
-        return min(min(map(g, tables)) for g in (tuple, *self.aut))
+        if not self.aut:  # unpruned: the tables are closed under Aut(G)
+            return min(tables)
+        best = None
+        for t in tables:
+            best = least_image(t, self.group, best) or best
+        return best
 
 
 def resolve_budget(explicit: Optional[int]) -> int:
@@ -138,25 +145,25 @@ def _orbit_table(group: GroupSpec):
 
     A node (j, branches, leaves) groups the permutations still tied at
     position j by their image p[j]: branches holds (p[j], child node) for a
-    group of two or more, leaves holds (p[j], p) for a lone permutation,
-    which is the shared tuple from aut_permutations, not a copy.  Positions
-    fixed by every permutation of a node are skipped.  A trivial Aut(G)
-    gives a node with nothing to compare.
+    group of two or more, leaves holds (p[j], getter) for a lone permutation,
+    with its cached getter from aut_getters.  Positions fixed by every
+    permutation of a node are skipped.  A trivial Aut(G) gives a node with
+    nothing to compare.
     """
-    perms = aut_permutations(group)
+    perms = list(zip(aut_permutations(group), aut_getters(group)))
     return _orbit_node(perms, 0) if perms else (0, (), ())
 
 
 def _orbit_node(perms, j):
-    # perms are distinct and not the identity, so some position >= j moves.
-    while all(p[j] == j for p in perms):
+    # perms are distinct non-identity (permutation, getter) pairs: some position >= j moves.
+    while all(p[j] == j for p, _ in perms):
         j += 1
     by_image: dict[int, list] = {}
-    for p in perms:
-        by_image.setdefault(p[j], []).append(p)
+    for pg in perms:
+        by_image.setdefault(pg[0][j], []).append(pg)
     ties = sorted(by_image.items())
     branches = tuple((v, _orbit_node(ps, j + 1)) for v, ps in ties if len(ps) > 1)
-    leaves = tuple((v, ps[0]) for v, ps in ties if len(ps) == 1)
+    leaves = tuple((v, ps[0][1]) for v, ps in ties if len(ps) == 1)
     return j, branches, leaves
 
 
@@ -168,10 +175,10 @@ def _is_orbit_minimal(counts: list[int], table) -> bool:
     # such image disqualifies counts.  table is _orbit_table(group), so the
     # comparisons at a prefix that permutations share are made once for all
     # of them: at a node, a larger image count rejects counts, a smaller one
-    # settles that branch, an equal one descends; a lone permutation finishes
-    # with the plain scan.  Each permutation meets the same comparisons as
-    # in a loop over the permutations, so every decision is the same.
-    size = len(counts)
+    # settles that branch, an equal one descends; a lone permutation, tied up
+    # to j, finishes with one tuple compare of its image.  Each permutation
+    # meets the comparisons of a plain loop, so every decision is the same.
+    key = tuple(counts)
     stack = [table]
     while stack:
         j, branches, leaves = stack.pop()
@@ -182,19 +189,14 @@ def _is_orbit_minimal(counts: list[int], table) -> bool:
                 stack.append(child)
             elif ci > cj:
                 return False
-        for v, p in leaves:
+        for v, getter in leaves:
             ci = counts[v]
             if ci != cj:
                 if ci > cj:
                     return False
                 continue
-            for k in range(j + 1, size):
-                ck = counts[k]
-                ci = counts[p[k]]
-                if ci != ck:
-                    if ci > ck:
-                        return False
-                    break
+            if getter(counts) > key:
+                return False
     return True
 
 
@@ -355,7 +357,7 @@ def longest_lacking_search(
             best_list.extend(bl)
 
     reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())
-    return SearchOutcome(best, sorted(set(best_list)), nodes, complete, *reductions)
+    return SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, *reductions)
 
 
 def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_length: int) -> bool:

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .groups import Element, GroupSpec, aut_getters
+from .groups import Element, GroupSpec, least_image
 
 
 class SequenceParseError(ValueError):
@@ -184,6 +184,6 @@ def apply_hom(
 
 
 def canonical_form(seq: Sequence) -> Sequence:
-    """Least multiplicity table over the automorphism orbit of the sequence."""
-    counts = seq.counts
-    return Sequence(seq.group, min([counts, *(image(counts) for image in aut_getters(seq.group))]))
+    """Least multiplicity table over the automorphism orbit of the sequence
+    (groups.least_image, as SearchOutcome.least uses it)."""
+    return Sequence(seq.group, least_image(seq.counts, seq.group))

@@ -15,7 +15,7 @@ import pytest
 import zerosum.search as search
 from zerosum import Criterion, GroupSpec, Sequence, SearchOptions, canonical_form, longest_lacking
 from zerosum._bits import shift_getters
-from zerosum.groups import aut_getters, aut_permutations
+from zerosum.groups import aut_getters, aut_permutations, least_image
 from zerosum.search import _is_orbit_minimal, _orbit_table, longest_lacking_search
 
 from conftest import ORACLE_GROUPS_16, oracle_lacks
@@ -102,6 +102,18 @@ def test_getters_and_canonical_form_match_plain_images(n1, n2):
             translate(group, t, h) for h in range(group.order)
         }
         assert canonical_form(Sequence(group, t)).counts == min(aut_orbit)
+
+    # least_image, and with a bound None exactly when the least image is >=
+    # it: bounds equal to it, to the table, to the last table's least image,
+    # and one below and one above it at the last position.
+    last = (0,) * group.order
+    for t in [*random_tables(rng, group, 20), *small_tables(group, 2)]:
+        least = min([t, *(image(t, p) for p in perms)])
+        assert least_image(t, group) == least, t
+        head, tail = least[:-1], least[-1]
+        for bound in (least, t, last, head + (tail + 1,), head + (tail - 1,)):
+            assert least_image(t, group, bound) == (least if least < bound else None), (t, bound)
+        last = least
 
 
 REDUCTION_GROUPS = [(1, 1), *ORACLE_GROUPS_16]
