@@ -27,7 +27,7 @@ from .inverse import (
     reproduce_exp_minus_1,
     verify_lemma,
 )
-from .search import AUT_PRUNING_MAX, SearchOptions
+from .search import SearchOptions
 from .sequences import parse_sequence
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ class RunConfig:
     fmt: str
     workers: int
     budget: Optional[int]
-    prune: Optional[bool]
+    prune: bool
     output: Optional[str]
 
     def __post_init__(self) -> None:
@@ -50,9 +50,8 @@ class RunConfig:
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be >= 0")
 
-    def search_options(self, collect_all: bool = False) -> SearchOptions:
+    def search_options(self) -> SearchOptions:
         return SearchOptions(
-            collect_all=collect_all,
             aut_pruning=self.prune,
             workers=self.workers,
             node_budget=self.budget,
@@ -123,7 +122,7 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
         raise ValueError("extremal enumeration needs a rank-2 group")
     kind = ExtremalKind(args.kind)
     enum = enumerate_extremal(group, kind, up_to_aut=args.up_to_aut,
-                              options=cfg.search_options(collect_all=True))
+                              options=cfg.search_options())
     records = []
     any_unmatched = False
     for seq in enum.sequences:
@@ -159,7 +158,7 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
-    opts = cfg.search_options(collect_all=True)
+    opts = cfg.search_options()
     target = args.target
     if target in ("property-C", "property-D"):
         if args.m is None:
@@ -245,9 +244,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=None,
                    help="node budget per search task (default: ZEROSUM_BUDGET env or built-in)")
-    p.add_argument("--prune", choices=["auto", "on", "off"], default="auto",
-                   help=f"automorphism orbit pruning; auto turns it off when |Aut(G)| > "
-                        f"{AUT_PRUNING_MAX} (e.g. C7+C7), on keeps it")
+    p.add_argument("--prune", choices=["on", "off"], default="on",
+                   help="automorphism orbit pruning, on wherever Aut(G) can be enumerated "
+                        "(group order <= 512); off searches every multiset")
     p.add_argument("--output", default=None, help="write results to a file instead of stdout")
 
 
@@ -301,10 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    prune = {"auto": None, "on": True, "off": False}[args.prune]
     try:
         cfg = RunConfig(fmt=args.format, workers=args.workers, budget=args.budget,
-                        prune=prune, output=args.output)
+                        prune=args.prune == "on", output=args.output)
         return args.func(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 # automorphisms() enumerates generator images by brute force; refuse groups
-# where that becomes unreasonable.
+# where that becomes unreasonable (the search then runs unpruned).
 AUT_ENUMERATION_MAX_ORDER = 512
 
 
@@ -225,7 +225,7 @@ class Automorphism:
 
 
 @lru_cache(maxsize=None)
-def automorphisms(group: GroupSpec, max_order: int = AUT_ENUMERATION_MAX_ORDER) -> tuple[Automorphism, ...]:
+def automorphisms(group: GroupSpec) -> tuple[Automorphism, ...]:
     """The full automorphism group, ordered lexicographically by generator images.
 
     Pure brute force: try every pair of candidate images, keep the pairs that
@@ -233,9 +233,10 @@ def automorphisms(group: GroupSpec, max_order: int = AUT_ENUMERATION_MAX_ORDER) 
     ord(img1) | n1 (n2 * img2 = 0 holds automatically); bijectivity is
     equivalent to the images generating the group.
     """
-    if group.order > max_order:
+    if group.order > AUT_ENUMERATION_MAX_ORDER:
         raise ValueError(
-            f"group too large for automorphism enumeration (order {group.order} > {max_order})"
+            "group too large for automorphism enumeration "
+            f"(order {group.order} > {AUT_ENUMERATION_MAX_ORDER})"
         )
     elems = list(group.elements())
     out = []

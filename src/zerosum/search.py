@@ -5,7 +5,7 @@ only while it still lacks the forbidden pattern.  Lacking is hereditary under
 taking subsequences, so the visited tree is exactly the downset of lacking
 sequences and the deepest node gives the constant (max length + 1).
 
-Two optional reductions shrink the tree without changing any result:
+Two reductions, on wherever sound, shrink the tree without changing any result:
 
 * automorphism pruning keeps only prefixes that are minimal in their orbit
   (sorted-tuple order); minimal multisets have minimal prefixes, so every
@@ -45,11 +45,10 @@ from typing import Optional
 from ._bits import bit_tables, shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
 from .criteria import Criterion, _shared_stepper, _stepper  # noqa: F401
-from .groups import GroupSpec, aut_getters, aut_permutations, automorphisms, least_image
+from .groups import AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_permutations, least_image
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
-AUT_PRUNING_MAX = 1000
 _TASK_DEPTH = 2
 
 
@@ -58,24 +57,24 @@ class SearchOptions:
     """Search and reporting knobs.
 
     None of the search knobs may change computed results, only cost.
-    aut_pruning / shift_normalize default to automatic choices; an explicit
-    True/False forces them.  node_budget None falls back to the
+    aut_pruning and shift_normalize turn each reduction on wherever it is
+    sound, False turns it off: pruning needs Aut(G) enumerated, i.e. group
+    order <= AUT_ENUMERATION_MAX_ORDER (512), and translation normalization
+    needs an exp-length criterion (EXACT_EXP, EXP_MULTIPLE); elsewhere the
+    search runs without it.  node_budget None falls back to the
     ZEROSUM_BUDGET environment variable, then to DEFAULT_NODE_BUDGET; the
     budget caps visited nodes per search task (the shallow walk from the
     root, which is always visited, and each seed task).  workers > 1 runs
     the seed tasks in a fork pool, or serially where the platform cannot
     fork.
-    Automatic pruning turns off without a word when |Aut(G)| >
-    AUT_PRUNING_MAX (1000), so C7+C7 (|Aut| = 2016) runs unpruned unless
-    aut_pruning=True (CLI --prune on).
     collect_all is read only by constants.longest_lacking: it makes the
     report carry every extremal sequence (the full orbit) instead of the
     least one (SearchOutcome.least).
     """
 
     collect_all: bool = False
-    aut_pruning: Optional[bool] = None
-    shift_normalize: Optional[bool] = None
+    aut_pruning: bool = True
+    shift_normalize: bool = True
     workers: int = 1
     node_budget: Optional[int] = None
 
@@ -306,18 +305,8 @@ def longest_lacking_search(
     budget = resolve_budget(opts.node_budget)
     cap = depth_cap if depth_cap is not None else (1 << 30)
 
-    shift_invariant = criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
-    shiftn = opts.shift_normalize if opts.shift_normalize is not None else shift_invariant
-    if shiftn and not shift_invariant:
-        raise ValueError("translation normalization is only sound for exp-length criteria")
-
-    if opts.aut_pruning is None:
-        try:
-            prune = len(automorphisms(group)) <= AUT_PRUNING_MAX
-        except ValueError:
-            prune = False
-    else:
-        prune = opts.aut_pruning
+    shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
+    prune = opts.aut_pruning and group.order <= AUT_ENUMERATION_MAX_ORDER
 
     # Shallow walk: visit the root and depth-1 nodes, seed tasks at depth 2.
     # The root is visited whatever the budget, hence a budget of at least 1.

@@ -16,6 +16,7 @@ from zerosum import (
     longest_lacking,
     parse_sequence,
 )
+from zerosum.search import longest_lacking_search
 
 
 def test_formula_examples():
@@ -173,9 +174,15 @@ def test_budget_validation():
         longest_lacking(GroupSpec(2, 2), Criterion.ANY, SearchOptions(workers=0))
 
 
-def test_shift_normalize_rejected_for_non_invariant_criteria():
-    with pytest.raises(ValueError):
-        longest_lacking(GroupSpec(2, 2), Criterion.SHORT, SearchOptions(shift_normalize=True))
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 4)])
+def test_shift_normalize_never_applies_where_unsound(n1, n2):
+    # D and eta are not translation invariant, so shift_normalize=True leaves
+    # their search exactly as it is with False.
+    for crit in (Criterion.ANY, Criterion.SHORT):
+        on, off = (longest_lacking_search(GroupSpec(n1, n2), crit, SearchOptions(shift_normalize=b))
+                   for b in (True, False))
+        assert on.shifts == off.shifts == (), crit
+        assert (on.nodes, on.representatives) == (off.nodes, off.representatives), crit
 
 
 def test_report_json_shape():

@@ -231,6 +231,13 @@ def test_check_property_examples():
         check_property(3, "E")
 
 
+def test_check_property_c_at_m7_by_default():
+    # Property C over C7+C7 (|Aut| = 2016) needs orbit pruning to finish.
+    res = check_property(7, "C", SearchOptions(node_budget=100_000))
+    assert res.status == "verified"
+    assert res.details == {"extremal_count": 5040, "length": 18}
+
+
 def test_check_property_unverified_on_tiny_budget():
     from zerosum import SearchOptions
 

@@ -201,6 +201,20 @@ def test_tiny_budget_visits_the_root_and_one_child(crit, budget):
     assert (out.max_length, out.sequences, out.nodes) == (0, [(0,) * group.order], 2)
 
 
+def test_pruning_has_no_cliff_in_aut_size():
+    # |Aut(C7+C7)| = 2016: the default search prunes it all the same.
+    out = longest_lacking_search(GroupSpec(7, 7), Criterion.SHORT, SearchOptions(node_budget=0))
+    assert out.aut == aut_getters(GroupSpec(7, 7)) != ()
+
+
+@pytest.mark.parametrize("kw", [{}, {"aut_pruning": True}])
+def test_pruning_is_off_beyond_the_automorphism_enumerator(kw):
+    # Order 600 > AUT_ENUMERATION_MAX_ORDER: no Aut(G) to prune with, and no error.
+    opts = SearchOptions(node_budget=0, **kw)
+    out = longest_lacking_search(GroupSpec.cyclic(600), Criterion.ANY, opts)
+    assert out.aut == () and not out.complete
+
+
 def test_workers_fall_back_to_serial_without_fork(monkeypatch):
     group = GroupSpec(3, 3)
     serial = [longest_lacking(group, c, SearchOptions(collect_all=True)) for c in Criterion]
