@@ -102,15 +102,19 @@ def test_criterion_3_properties_c_and_d():
 
 
 def test_criterion_3_stretch_m5():
-    # stretch goal behind a budget knob: unverified (not failed) if the budget hits
+    # stretch goal behind a budget knob (m = 5 and 6): unverified (not failed)
+    # if the budget hits; a verified check has its known extremal count
     t0 = time.perf_counter()
     budget = int(os.environ.get("ZEROSUM_STRETCH_BUDGET", "50000000"))
-    statuses = {
-        which: check_property(5, which, SearchOptions(node_budget=budget)).status
-        for which in ("C", "D")
-    }
-    ok = all(s in ("verified", "unverified") for s in statuses.values())
-    _report(3, ok, f"stretch m=5 statuses {statuses} (budget {budget})", t0)
+    counts = {(5, "C"): 720, (5, "D"): 4500, (6, "C"): 144, (6, "D"): 1296}
+    results = {key: check_property(*key, SearchOptions(node_budget=budget)) for key in counts}
+    statuses = {f"{which}{m}": r.status for (m, which), r in results.items()}
+    ok = all(
+        r.status == "unverified"
+        or (r.status == "verified" and r.details["extremal_count"] == counts[key])
+        for key, r in results.items()
+    )
+    _report(3, ok, f"stretch m=5,6 statuses {statuses} (budget {budget})", t0)
 
 
 def test_criterion_4_direct_half_full_grid():

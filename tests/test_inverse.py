@@ -233,9 +233,11 @@ def test_check_property_examples():
 
 def test_check_property_c_at_m7_by_default():
     # Property C over C7+C7 (|Aut| = 2016) needs orbit pruning to finish.
+    # Its packed table is above _PACKED_MAX_BITS, so the DFS walks the trie.
     res = check_property(7, "C", SearchOptions(node_budget=100_000))
     assert res.status == "verified"
     assert res.details == {"extremal_count": 5040, "length": 18}
+    assert res.nodes == 48_029
 
 
 def test_check_property_unverified_on_tiny_budget():

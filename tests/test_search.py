@@ -2,7 +2,11 @@
 reductions against the unreduced search.
 
 The oracles here apply permutations and translations plainly, with their own
-modular arithmetic, never through the getters or the prefix table under test.
+modular arithmetic, never through the getters, the packed table or the prefix
+table under test.  The DFS tests orbit-minimality on the packed table where
+it is small and on the prefix table above that size: both are checked
+against the definition, and the searches on both sides against each other
+and against pinned node counts.
 """
 
 from __future__ import annotations
@@ -16,7 +20,16 @@ import zerosum.search as search
 from zerosum import Criterion, GroupSpec, Sequence, SearchOptions, canonical_form, longest_lacking
 from zerosum._bits import shift_getters
 from zerosum.groups import aut_getters, aut_permutations, least_image
-from zerosum.search import _is_orbit_minimal, _orbit_table, longest_lacking_search
+from zerosum.search import (
+    _PACKED_MAX_BITS,
+    _digit_width,
+    _is_orbit_minimal,
+    _orbit_table,
+    _packed_bits,
+    _packed_table,
+    _packed_value,
+    longest_lacking_search,
+)
 
 from conftest import ORACLE_GROUPS_16, oracle_lacks
 
@@ -59,6 +72,13 @@ def random_tables(rng: random.Random, group: GroupSpec, count: int) -> list[tupl
     return out
 
 
+def packed_is_minimal(group: GroupSpec, t) -> bool:
+    # The digit width must cover the counts given, not only the DFS's (< exp).
+    width = max(group.exponent - 1, *t).bit_length()
+    guards, deltas = _packed_table(group, width)
+    return _packed_value(t, guards, deltas) & guards == guards
+
+
 def small_tables(group: GroupSpec, total: int):
     for size in range(total + 1):
         for combo in combinations_with_replacement(range(group.order), size):
@@ -79,6 +99,7 @@ def test_is_orbit_minimal_matches_definition(n1, n2):
     for t in random_tables(rng, group, 40):
         want = all(image(t, p) <= t for p in perms)
         assert _is_orbit_minimal(list(t), table) == want, t
+        assert packed_is_minimal(group, t) == want, t
 
     # every table of total <= 3: label whole orbits at once
     minimal: dict[tuple[int, ...], bool] = {}
@@ -88,6 +109,7 @@ def test_is_orbit_minimal_matches_definition(n1, n2):
             top = max(orbit)
             minimal.update((u, u == top) for u in orbit)
         assert _is_orbit_minimal(list(t), table) == minimal[t], t
+        assert packed_is_minimal(group, t) == minimal[t], t
 
 
 @pytest.mark.parametrize("n1,n2", KERNEL_GROUPS)
@@ -188,6 +210,30 @@ def test_default_search_visits_exactly_the_reduced_downset(n1, n2, crit, nodes):
         if not (shiftn and any(t) and not t[0]) and all(image(t, p) <= t for p in perms)
     )
     assert out.nodes == want == nodes
+
+
+@pytest.mark.parametrize("crit,nodes", [(Criterion.EXACT_EXP, 61_464), (Criterion.EXP_MULTIPLE, 61_454)])
+def test_packed_side_node_counts_on_c2_c8(crit, nodes):
+    # C2+C8 is far below _PACKED_MAX_BITS, so the DFS runs the packed test;
+    # test_check_property_c_at_m7_by_default pins the trie side.
+    group = GroupSpec(2, 8)
+    assert _packed_bits(group, _digit_width(group)) <= _PACKED_MAX_BITS
+    assert _packed_bits(GroupSpec(7, 7), _digit_width(GroupSpec(7, 7))) > _PACKED_MAX_BITS
+    out = longest_lacking_search(group, crit)
+    assert out.complete and out.nodes == nodes
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6)])
+def test_packed_and_trie_searches_agree(n1, n2, monkeypatch):
+    # The two orbit tests make the same decision at every child, so the
+    # searches visit the same nodes and keep the same representatives.
+    group = GroupSpec(n1, n2)
+    packed = [longest_lacking_search(group, c) for c in Criterion]
+    monkeypatch.setattr(search, "_PACKED_MAX_BITS", -1)
+    for crit, a in zip(Criterion, packed):
+        b = longest_lacking_search(group, crit)
+        assert (b.nodes, b.max_length, b.representatives) == (
+            a.nodes, a.max_length, a.representatives), crit
 
 
 @pytest.mark.parametrize("crit", [Criterion.ANY, Criterion.EXACT_EXP])
