@@ -270,6 +270,9 @@ def verify_shift_lemma(seq: Sequence, g: Element, case: int, *, n: Optional[int]
     Case 1 (needs n with exp(G) | n): do S and g+S agree on having a zero-sum
     subsequence of length n?  Case 2 (needs S with no short zero-sum): does
     g^v (g+S) lack zero-sums of length exp(G) for every v in [0, exp-1]?
+    Lacking is hereditary (a zero-sum of a subsequence is one of the whole),
+    and each g^v (g+S) is a subsequence of g^(exp-1) (g+S), so case 2 is the
+    one lacks() call on the latter.
     Case 3 (needs v_g(S) >= floor((exp-1)/2) and S without length-exp
     zero-sums): does S have a subsequence T with |T| >= |S| - exp + 1 such
     that (-g) + T has no short zero-sum?  Violated hypotheses raise
@@ -287,11 +290,7 @@ def verify_shift_lemma(seq: Sequence, g: Element, case: int, *, n: Optional[int]
     if case == 2:
         if not lacks(seq, Criterion.SHORT):
             raise ValueError("hypothesis failed: S has a short zero-sum subsequence")
-        shifted = shift(g, seq)
-        return all(
-            lacks(shifted.with_term(g, v) if v else shifted, Criterion.EXACT_EXP)
-            for v in range(exp)
-        )
+        return lacks(shift(g, seq).with_term(g, exp - 1), Criterion.EXACT_EXP)
 
     if case == 3:
         if seq.multiplicity(g) < (exp - 1) // 2:

@@ -437,41 +437,53 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
     )
 
 
+def _power_of(group: GroupSpec, combo: tuple[int, ...], k: int) -> Sequence:
+    """T^k for the multiset T of element indices combo."""
+    counts = [0] * group.order
+    for i in combo:
+        counts[i] += k
+    return Sequence(group, tuple(counts))
+
+
+def _drop_one(power: Sequence, i: int, k: int) -> Sequence:
+    """power with k copies of the element of index i taken out."""
+    counts = list(power.counts)
+    counts[i] -= k
+    return Sequence(power.group, tuple(counts))
+
+
 def _check_noshort(m: int) -> CheckResult:
     """Every short-zero-sum-free T^(m-1) with |T| = 3 over C_m + C_m comes from
     a basis: T = f1 f2 (-x*f1 + f2) with gcd(x, m) = 1 and x <= m/2, and
-    dropping any one term of T leaves a zero-sum free (m-1)-th power."""
+    dropping any one term of T leaves a zero-sum free (m-1)-th power.
+
+    Runs on element indices i = a*m + b: (f1, f2) is a basis iff its
+    determinant a1*b2 - a2*b1 is a unit mod m."""
     if m < 2:
         raise ValueError("noshort needs m >= 2")
     group = GroupSpec(m, m)
-    elems = list(group.elements())
+    units = [x for x in _units(m) if 2 * x <= m]
     x_values: set[int] = set()
     passing = 0
     bad: list[Sequence] = []
-    for combo in combinations_with_replacement(elems, 3):
-        t_seq = Sequence.from_items(group, [(e, 1) for e in combo])
-        power = t_seq ** (m - 1)
+    for combo in combinations_with_replacement(range(group.order), 3):
+        power = _power_of(group, combo, m - 1)
         if not lacks(power, Criterion.SHORT):
             continue
         passing += 1
-        supp = t_seq.support()
-        found = []
-        for f1, f2 in permutations(supp, 2):
-            f3 = next(e for e in supp if e not in (f1, f2))
-            if not is_basis_pair(f1, f2):
-                continue
-            for x in _units(m):
-                if 2 * x <= m and f3 == f2 - x * f1:
-                    found.append((f1, f2, x))
+        supp = set(combo)
+        found = set()
+        for i1, i2 in permutations(supp, 2):
+            i3 = next(i for i in supp if i not in (i1, i2))
+            (a1, b1), (a2, b2) = divmod(i1, m), divmod(i2, m)
+            if math.gcd(a1 * b2 - a2 * b1, m) == 1:
+                found.update(x for x in units if ((a2 - x * a1) % m) * m + (b2 - x * b1) % m == i3)
         if not found:
             bad.append(power)
             continue
-        x_values.update(x for _, _, x in found)
-        for f in supp:
-            rest = (t_seq.without(Sequence.from_items(group, [(f, 1)]))) ** (m - 1)
-            if not lacks(rest, Criterion.ANY):
-                bad.append(power)
-                break
+        x_values |= found
+        if not all(lacks(_drop_one(power, i, m - 1), Criterion.ANY) for i in supp):
+            bad.append(power)
     return CheckResult(
         name="noshort",
         params={"m": m},
@@ -487,20 +499,15 @@ def _check_two_m(m: int) -> CheckResult:
     if m < 2:
         raise ValueError("two-m needs m >= 2")
     group = GroupSpec(m, m)
-    elems = list(group.elements())
     passing = 0
     bad: list[Sequence] = []
-    for combo in combinations_with_replacement(elems, 4):
-        t_seq = Sequence.from_items(group, [(e, 1) for e in combo])
-        power = t_seq ** (m - 1)
+    for combo in combinations_with_replacement(range(group.order), 4):
+        power = _power_of(group, combo, m - 1)
         if not lacks(power, Criterion.EXACT_EXP):
             continue
         passing += 1
-        for f in t_seq.support():
-            rest = (t_seq.without(Sequence.from_items(group, [(f, 1)]))) ** (m - 1)
-            if has_zero_sum_of_length(rest, 2 * m):
-                bad.append(power)
-                break
+        if any(has_zero_sum_of_length(_drop_one(power, i, m - 1), 2 * m) for i in set(combo)):
+            bad.append(power)
     return CheckResult(
         name="two-m",
         params={"m": m},

@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
+from ._bits import add_table, bit_tables
 from .groups import Element, GroupSpec, least_image
 
 
@@ -157,13 +158,15 @@ def sum_of(seq: Sequence) -> Element:
 
 
 def shift(h: Element, seq: Sequence) -> Sequence:
-    """Translate every term by h."""
+    """Translate every term by h.
+
+    The term at index i moves to the index of e_i + h, so the new table reads
+    counts[j - h] at j: one pass through row -h of the group's add table.
+    """
     if h.group != seq.group:
         raise ValueError("shift element from a different group")
-    counts = [0] * seq.group.order
-    for e, k in seq.items():
-        counts[(e + h).index] = k
-    return Sequence(seq.group, tuple(counts))
+    row = add_table(seq.group)[bit_tables(seq.group).neg[h.index]]
+    return Sequence(seq.group, tuple(map(seq.counts.__getitem__, row)))
 
 
 def apply_hom(

@@ -15,7 +15,7 @@ from zerosum import (
     verify_shift_lemma,
     witness,
 )
-from zerosum import _bits
+from zerosum import _bits, criteria
 from zerosum.criteria import _knapsack_stages, _stepper
 from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
 
@@ -292,6 +292,43 @@ def test_shift_lemma_case2():
     assert verify_shift_lemma(s, g.element(1, 0), 2)
     with pytest.raises(ValueError):
         verify_shift_lemma(parse_sequence(g, "(1,0)^2"), g.element(1, 0), 2)
+
+
+def test_shift_lemma_case2_single_call_by_heredity():
+    # Case 2 asks whether g^v (g+S) lacks length-exp zero-sums for every
+    # v < exp; verify_shift_lemma asks only at v = exp - 1.  Each g^v (g+S) is
+    # a subsequence of g^(exp-1) (g+S), so the two agree on every S and g.
+    # Under the case's hypothesis both are always True, so the identity is
+    # checked here on unconstrained S, where both outcomes occur.
+    rng = random.Random(61)
+    outcomes = set()
+    for n1, n2 in ORACLE_GROUPS_16:
+        grp = GroupSpec(n1, n2)
+        exp = grp.exponent
+        for _ in range(25):
+            s = random_sequence(rng, grp, exp)
+            h = rng.choice(list(grp.elements()))
+            moved = shift(h, s)
+            every_v = all(lacks(moved.with_term(h, v), Criterion.EXACT_EXP) for v in range(exp))
+            one_call = lacks(moved.with_term(h, exp - 1), Criterion.EXACT_EXP)
+            assert every_v == one_call, (s, h)
+            if lacks(s, Criterion.SHORT):
+                assert verify_shift_lemma(s, h, 2) == every_v
+            outcomes.add(every_v)
+    assert outcomes == {True, False}
+
+
+def test_shift_lemma_case2_decides_on_the_longest_power(monkeypatch):
+    # On inputs that meet the hypothesis case 2 is always True, so only the
+    # argument of its lacks() call shows an off-by-one in exp - 1.
+    calls = []
+    real = criteria.lacks
+    monkeypatch.setattr(criteria, "lacks", lambda seq, crit: calls.append((seq, crit)) or real(seq, crit))
+    g = GroupSpec(2, 4)
+    s = parse_sequence(g, "(1,0) (0,1)")
+    h = g.element(1, 1)
+    assert verify_shift_lemma(s, h, 2)
+    assert calls[-1] == (shift(h, s).with_term(h, g.exponent - 1), Criterion.EXACT_EXP)
 
 
 def test_shift_lemma_case3():

@@ -285,6 +285,22 @@ def test_verify_lemma_two_m():
     assert verify_lemma(LemmaName.TWO_M, m=3).ok
 
 
+@pytest.mark.parametrize("m,powers,x_values", [
+    (2, 1, [1]), (3, 24, [1]), (4, 48, [1]), (5, 720, [1, 2]), (6, 144, [1]),
+])
+def test_noshort_results_pinned(m, powers, x_values):
+    res = verify_lemma(LemmaName.NOSHORT, m=m)
+    assert res.status == "verified" and res.counterexamples == []
+    assert res.details == {"powers_checked": powers, "x_values": x_values}
+
+
+@pytest.mark.parametrize("m,powers", [(2, 1), (3, 54), (4, 192), (5, 4500)])
+def test_two_m_results_pinned(m, powers):
+    res = verify_lemma(LemmaName.TWO_M, m=m)
+    assert res.status == "verified" and res.counterexamples == []
+    assert res.details == {"powers_checked": powers}
+
+
 def test_verify_lemma_invcyc():
     res = verify_lemma(LemmaName.INVCYC, n=5)
     assert res.ok

@@ -14,7 +14,7 @@ from zerosum import (
     shift,
     sum_of,
 )
-from conftest import random_sequence
+from conftest import ORACLE_GROUPS_16, random_sequence
 
 
 def test_parse_basic():
@@ -66,6 +66,22 @@ def test_shift():
         assert sorted(e.index for e in moved.support()) == sorted(
             (e + h).index for e in seq.support()
         )
+
+
+def test_shift_matches_termwise_element_sum():
+    # shift runs on the add table; the oracle adds h to every term as an Element.
+    rng = random.Random(53)
+    for n1, n2 in [(1, 1), *ORACLE_GROUPS_16]:
+        g = GroupSpec(n1, n2)
+        exp = g.exponent
+        elems = list(g.elements())
+        for _ in range(4):
+            items = [(e, rng.randint(0, exp)) for e in rng.sample(elems, min(3, len(elems)))]
+            items.append((rng.choice(elems), rng.randint(exp + 1, 3 * exp)))  # above exp(G)
+            seq = Sequence.from_items(g, items)
+            assert seq.max_multiplicity() > exp
+            for h in elems:
+                assert shift(h, seq) == Sequence.from_items(g, [(e + h, k) for e, k in seq.items()])
 
 
 def test_apply_hom_projection():
