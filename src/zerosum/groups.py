@@ -13,8 +13,13 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator
 
-# automorphisms() enumerates generator images by brute force; refuse groups
-# where that becomes unreasonable (the search then runs unpruned).
+# automorphisms() refuses groups above this order, and the search runs
+# unpruned there.  Enumeration is |G|^2/n generation tests, so the cap is not
+# about time: it fixes where orbit pruning is on, and with it the pinned node
+# counts.  What it bounds is memory: the orbit tables hold |Aut(G)|*|G|
+# permutation indices and least_image's rows |G|^2*|Aut(G)| bits.  The largest
+# Aut(G) under the cap, GL2(Z/19) on C19+C19 (123,120 automorphisms), needs
+# about 0.7 GB and 2 GB for them.
 AUT_ENUMERATION_MAX_ORDER = 512
 
 
@@ -158,24 +163,40 @@ def order_of(g: Element) -> int:
     return oa * ob // math.gcd(oa, ob)
 
 
-def _span_indices(g1: Element, g2: Element) -> set[int]:
-    """Element indices of the subgroup generated by {g1, g2}."""
-    grp = g1.group
-    n1, n2 = grp.n1, grp.n2
-    a1, b1, a2, b2 = g1.a, g1.b, g2.a, g2.b
-    seen: set[int] = set()
-    for i in range(order_of(g1)):
-        xa = i * a1 % n1
-        xb = i * b1 % n2
-        for j in range(order_of(g2)):
-            seen.add(((xa + j * a2) % n1) * n2 + (xb + j * b2) % n2)
-    return seen
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+
+
+def generates(group: GroupSpec, a1: int, b1: int, a2: int, b2: int) -> bool:
+    """True iff (a1, b1) and (a2, b2) generate the group.
+
+    A subset generates a finite abelian G iff its image spans G/pG for each
+    prime p | exp(G).  That quotient is (Z/p)^2 on (a, b) mod p when p | n1,
+    spanned iff the determinant is nonzero mod p, and Z/p on b mod p else.
+    """
+    for p in _prime_divisors(group.n2):
+        if group.n1 % p == 0:
+            if (a1 * b2 - a2 * b1) % p == 0:
+                return False
+        elif b1 % p == 0 and b2 % p == 0:
+            return False
+    return True
+
+
+def image_indices(group: GroupSpec, a1: int, b1: int, a2: int, b2: int) -> tuple[int, ...]:
+    """Index of a*(a1, b1) + b*(a2, b2) for each element (a, b), in index order."""
+    n1, n2 = group.n1, group.n2
+    return tuple(
+        ((a * a1 + b * a2) % n1) * n2 + (a * b1 + b * b2) % n2
+        for a in range(n1) for b in range(n2)
+    )
 
 
 def is_generating_pair(g1: Element, g2: Element) -> bool:
     """True iff the subgroup generated by {g1, g2} is the whole group."""
     g1._require_same_group(g2)
-    return len(_span_indices(g1, g2)) == g1.group.order
+    return generates(g1.group, g1.a, g1.b, g2.a, g2.b)
 
 
 def is_basis_pair(g1: Element, g2: Element) -> bool:
@@ -228,31 +249,29 @@ class Automorphism:
 def automorphisms(group: GroupSpec) -> tuple[Automorphism, ...]:
     """The full automorphism group, ordered lexicographically by generator images.
 
-    Pure brute force: try every pair of candidate images, keep the pairs that
-    give a well-defined bijective endomorphism.  Well-definedness needs
-    ord(img1) | n1 (n2 * img2 = 0 holds automatically); bijectivity is
-    equivalent to the images generating the group.
+    An automorphism is a pair of images (img1, img2) of (1,0) and (0,1) that
+    is well defined, n1*img1 = 0 (n2*img2 = 0 holds automatically), and
+    bijective, which holds iff the images generate the group (generates).
+    So img1 = (a1, b1) runs over b1 in multiples of n2/n1, img2 over G.
     """
     if group.order > AUT_ENUMERATION_MAX_ORDER:
         raise ValueError(
             "group too large for automorphism enumeration "
             f"(order {group.order} > {AUT_ENUMERATION_MAX_ORDER})"
         )
-    elems = list(group.elements())
-    out = []
-    for img1 in elems:
-        if not (group.n1 * img1).is_zero():
-            continue
-        for img2 in elems:
-            if len(_span_indices(img1, img2)) == group.order:
-                out.append(Automorphism(group, img1, img2))
-    return tuple(out)
+    elems = tuple(group.elements())
+    return tuple(
+        Automorphism(group, img1, img2)
+        for img1 in elems[:: group.n]
+        for img2 in elems
+        if generates(group, img1.a, img1.b, img2.a, img2.b)
+    )
 
 
 @lru_cache(maxsize=None)
 def element_permutation(aut: Automorphism) -> tuple[int, ...]:
     """The automorphism as a permutation of element indices."""
-    return tuple(aut(g).index for g in aut.group.elements())
+    return image_indices(aut.group, aut.img1.a, aut.img1.b, aut.img2.a, aut.img2.b)
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,8 @@ from .groups import (
     Element,
     GroupSpec,
     automorphisms,
+    generates,
+    image_indices,
     is_basis_pair,
     is_generating_pair,
     order_of,
@@ -215,13 +217,11 @@ def _ordered_bases(group: GroupSpec) -> tuple[tuple[Element, Element], ...]:
 @lru_cache(maxsize=None)
 def _generating_pairs(group: GroupSpec) -> tuple[tuple[Element, Element], ...]:
     """Every ordered generating pair (g1, g2) with ord(g2) = exp(G)."""
-    mn = group.exponent
-    out = []
-    for g1 in group.elements():
-        for g2 in group.elements():
-            if order_of(g2) == mn and is_generating_pair(g1, g2):
-                out.append((g1, g2))
-    return tuple(out)
+    elems = tuple(group.elements())
+    tops = [g2 for g2 in elems if order_of(g2) == group.exponent]
+    return tuple(
+        (g1, g2) for g1 in elems for g2 in tops if generates(group, g1.a, g1.b, g2.a, g2.b)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +243,7 @@ def _index_tables(group: GroupSpec) -> tuple:
         elements,
         add_table(group),
         bit_tables(group).neg,
-        tuple((x, tuple((x * e).index for e in elements)) for x in _units(group.m)),
+        tuple((x, image_indices(group, x, 0, 0, x)) for x in _units(group.m)),
         frozenset((e1.index, e2.index) for e1, e2 in _ordered_bases(group)),
         frozenset((g1.index, g2.index) for g1, g2 in _generating_pairs(group)),
     )

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from conftest import ORACLE_GROUPS_16, oracle_order
@@ -12,8 +13,22 @@ from zerosum import (
     order_of,
 )
 from zerosum.groups import element_permutation
+from zerosum.inverse import _generating_pairs
 
 SMALL_GROUPS = [GroupSpec(2, 2), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 5), GroupSpec(2, 6)]
+AUT_DEFINITION_GROUPS = [(1, 1), *ORACLE_GROUPS_16, (5, 5), (6, 6), (7, 7)]
+
+
+def spans(e1, e2):
+    # definition, with plain modular arithmetic on coordinates: the
+    # combinations i*e1 + j*e2 cover the group
+    g = e1.group
+    n1, n2 = g.n1, g.n2
+    combos = {
+        ((i * e1.a + j * e2.a) % n1, (i * e1.b + j * e2.b) % n2)
+        for i in range(n2) for j in range(n2)
+    }
+    return len(combos) == g.order
 
 
 def test_invariant_factor_normalization():
@@ -142,6 +157,45 @@ def test_automorphism_counts():
     assert len(automorphisms(GroupSpec(2, 2))) == 6
     assert len(automorphisms(GroupSpec(3, 3))) == 48
     assert len(automorphisms(GroupSpec(1, 5))) == 4
+    # |Aut(C_m + C_m)| = |GL(2, Z/m)| = m^4 * prod over primes p | m of (1 - 1/p)(1 - 1/p^2)
+    counts = {2: 6, 3: 48, 4: 96, 5: 480, 6: 288, 7: 2016, 8: 1536, 9: 3888}
+    for m, count in counts.items():
+        gl2 = Fraction(m**4)
+        for p in (p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))):
+            gl2 *= (1 - Fraction(1, p)) * (1 - Fraction(1, p * p))
+        assert gl2 == count
+        assert len(automorphisms(GroupSpec(m, m))) == count
+
+
+@pytest.mark.parametrize("n1,n2", AUT_DEFINITION_GROUPS)
+def test_automorphisms_match_definition(n1, n2):
+    # every pair of images (img1, img2) with n1*img1 = 0 that spans G, in
+    # index order; the permutation reads the Element map
+    g = GroupSpec(n1, n2)
+    elems = list(g.elements())
+    expected = [
+        (img1, img2)
+        for img1 in elems if (n1 * img1).is_zero()
+        for img2 in elems if spans(img1, img2)
+    ]
+    auts = automorphisms(g)
+    assert [(a.img1, a.img2) for a in auts] == expected
+    for a in auts:
+        perm = element_permutation(a)
+        assert all(perm[e.index] == a(e).index for e in elems)
+
+
+@pytest.mark.parametrize("n1,n2", [(n1, n2) for n1, n2 in AUT_DEFINITION_GROUPS if n1 > 1])
+def test_generating_pairs_match_definition(n1, n2):
+    g = GroupSpec(n1, n2)
+    elems = list(g.elements())
+    expected = []
+    for g1 in elems:
+        for g2 in elems:
+            assert is_generating_pair(g1, g2) == spans(g1, g2), (g1, g2)
+            if order_of(g2) == g.exponent and is_generating_pair(g1, g2):
+                expected.append((g1, g2))
+    assert list(_generating_pairs(g)) == expected
 
 
 def test_automorphism_bound_error():
