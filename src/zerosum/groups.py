@@ -302,10 +302,16 @@ def _aut_rows(group: GroupSpec):
     """The getters of Aut(G), tuple (the identity) first, and rows[j][v]: the
     bitset of the getters that read index v at position j."""
     n = group.order
-    rows = [[0] * n for _ in range(n)]
-    for bit, p in enumerate((range(n), *aut_permutations(group))):
-        for j, v in enumerate(p):
-            rows[j][v] |= 1 << bit
+    perms = (range(n), *aut_permutations(group))
+    # Each int is built once from its bytes: or-ing bits into an int would
+    # copy it per bit, quadratic in |Aut|.
+    size = (len(perms) + 7) // 8
+    rows = []
+    for column in zip(*perms):
+        cells = [bytearray(size) for _ in range(n)]
+        for bit, v in enumerate(column):
+            cells[v][bit >> 3] |= 1 << (bit & 7)
+        rows.append([int.from_bytes(c, "little") for c in cells])
     return (tuple, *aut_getters(group)), rows
 
 

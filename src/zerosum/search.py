@@ -35,15 +35,25 @@ Each node extends its parent's state by one push of the criterion's stepper
 the root stops at depth _TASK_DEPTH and collects the seed tasks there, each
 seed task walks its subtree, and exists_lacking_subsequence() walks the
 sub-multisets of one sequence and stops at the first node of a target length.
+
+With workers > 1, where the platform can fork, the parent walks each seed
+task down to depth _TASK_DEPTH + 2 and that many forked processes pull the
+subtrees below it, one at a time, until none is left (the split is nauty
+geng's res/mod idea, McKay and Piperno 2014, with subtrees pulled on demand).
+The budget still caps each seed task: a seed whose parts pass it, or that has
+a part cut short, is walked again whole in the parent, so every output,
+incomplete runs included, is the same as with one worker.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import traceback
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from multiprocessing import get_all_start_methods, get_context
+from multiprocessing.connection import wait
 from operator import itemgetter
 from typing import Optional
 
@@ -79,9 +89,11 @@ class SearchOptions:
     search runs without it.  node_budget None falls back to the
     ZEROSUM_BUDGET environment variable, then to DEFAULT_NODE_BUDGET; the
     budget caps visited nodes per search task (the shallow walk from the
-    root, which is always visited, and each seed task).  workers > 1 runs
-    the seed tasks in a fork pool, or serially where the platform cannot
-    fork.
+    root, which is always visited, and each seed task).  workers > 1 forks
+    that many processes, which pull the subtrees below depth 4 until none
+    is left; the budget still caps each depth-2 seed task and every output
+    is the same as with one worker.  Where the platform cannot fork, the
+    seed tasks run serially.
     collect_all is read only by constants.longest_lacking: it makes the
     report carry every extremal sequence (the full orbit) instead of the
     least one (SearchOutcome.least).
@@ -352,18 +364,123 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
         counts[e] -= 1
 
 
-def _run_seed(group, criterion, seed, prune, budget, cap):
+def _walk(ctx: _Ctx, seed):
+    """Walk the subtree below seed, a frontier node (counts, state, start)
+    of length sum(counts): (best, best_list, nodes, complete)."""
     counts0, state, start = seed
-    ctx = _Ctx(group, criterion, None, prune, budget, cap)
     try:
-        _dfs(ctx, list(counts0), state, start, _TASK_DEPTH, ctx.orbit_value(counts0))
+        _dfs(ctx, list(counts0), state, start, sum(counts0), ctx.orbit_value(counts0))
     except _BudgetExhausted:
         pass
     return ctx.best, ctx.best_list, ctx.nodes, ctx.complete
 
 
-def _seed_entry(args):
-    return _run_seed(*args)
+def _run_seed(group, criterion, seed, prune, budget, cap):
+    return _walk(_Ctx(group, criterion, None, prune, budget, cap), seed)
+
+
+def _merge(parts):
+    """Join the (best, best_list, nodes, complete) of walks over disjoint subtrees."""
+    best, best_list, nodes, complete = -1, [], 0, True
+    for b, bl, nn, comp in parts:
+        nodes += nn
+        complete = complete and comp
+        if b > best:
+            best = b
+            best_list = list(bl)
+        elif b == best:
+            best_list.extend(bl)
+    return best, best_list, nodes, complete
+
+
+def _forked_seeds(seeds, workers, group, criterion, prune, budget, cap):
+    """[_run_seed(..., seed, ...) for seed in seeds], the subtrees below
+    depth _TASK_DEPTH + 2 run by forked workers.
+
+    The parent walks each seed down to that depth and runs no subtree
+    itself.  A seed whose parts, merged in subtree order, pass the budget or
+    include a walk cut short is walked again whole, so that its result is
+    the one a lone seed task gives, cut for cut.
+    """
+    heads, tasks, spans = [], [], []
+    for seed in seeds:
+        ctx = _Ctx(group, criterion, None, prune, budget, cap, _TASK_DEPTH + 2, [])
+        heads.append(_walk(ctx, seed))
+        subtrees = ctx.frontier if ctx.complete else []
+        # A subtree past what the seed's budget leaves sends the seed back anyway.
+        tasks += [(group, criterion, sub, prune, budget - ctx.nodes, cap) for sub in subtrees]
+        spans.append(len(tasks))
+    parts = _run_forked(tasks, workers)
+    results, lo = [], 0
+    for seed, head, hi in zip(seeds, heads, spans):
+        merged = _merge([head, *parts[lo:hi]])
+        if not merged[3] or merged[2] > budget:
+            merged = _run_seed(group, criterion, seed, prune, budget, cap)
+        results.append(merged)
+        lo = hi
+    return results
+
+
+def _run_forked(tasks, workers):
+    """[_run_seed(*t) for t in tasks], run by up to `workers` forked
+    processes that each take the next task not yet taken until none is
+    left, then send their results in one message.  A worker that fails or
+    exits without sending makes this raise; every worker is joined before
+    it returns."""
+    mp = get_context("fork")
+    results = [None] * len(tasks)
+    taken = mp.Value("q", 0)
+    procs, ends = [], []
+    try:
+        for _ in range(min(workers, len(tasks))):
+            end, send = mp.Pipe(duplex=False)
+            ends.append(end)
+            proc = mp.Process(target=_worker, args=(tasks, taken, send))
+            proc.start()
+            procs.append(proc)
+            # The child holds the only send end: its exit is an EOF here.
+            send.close()
+        live = list(ends)
+        while live:
+            for end in wait(live):
+                live.remove(end)
+                try:
+                    ok, out = end.recv()
+                except EOFError:
+                    raise RuntimeError("a search worker exited without its results") from None
+                if not ok:
+                    raise RuntimeError(f"a search worker failed:\n{out}")
+                for i, result in out:
+                    results[i] = result
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for end in ends:
+            end.close()
+    return results
+
+
+def _worker(tasks, taken, conn):
+    # One message at the end: a message per task would wake the parent,
+    # which shares the cores with the workers, once per task.
+    try:
+        done = []
+        while True:
+            with taken.get_lock():
+                i = taken.value
+                taken.value = i + 1
+            if i >= len(tasks):
+                break
+            done.append((i, _run_seed(*tasks[i])))
+        conn.send((True, done))
+    except Exception:
+        conn.send((False, traceback.format_exc()))
+    finally:
+        conn.close()
 
 
 def longest_lacking_search(
@@ -404,23 +521,15 @@ def longest_lacking_search(
     except _BudgetExhausted:
         pass
 
-    best, best_list, nodes, complete = ctx.best, ctx.best_list, ctx.nodes, ctx.complete
-    args = [(group, criterion, seed, prune, budget, cap) for seed in ctx.frontier]
-    # Where the platform cannot fork, the seed tasks run serially: same results.
-    if opts.workers > 1 and len(args) > 1 and "fork" in get_all_start_methods():
-        with get_context("fork").Pool(opts.workers) as pool:
-            results = pool.map(_seed_entry, args, chunksize=max(1, len(args) // (opts.workers * 4)))
+    seeds = ctx.frontier
+    if opts.workers > 1 and "fork" in get_all_start_methods():
+        results = _forked_seeds(seeds, opts.workers, group, criterion, prune, budget, cap)
     else:
-        results = [_seed_entry(a) for a in args]
-
-    for b, bl, nn, comp in results:
-        nodes += nn
-        complete = complete and comp
-        if b > best:
-            best = b
-            best_list = list(bl)
-        elif b == best:
-            best_list.extend(bl)
+        # One worker, or a platform that cannot fork: the seed tasks run
+        # here, one after another, with the same results.
+        results = [_run_seed(group, criterion, seed, prune, budget, cap) for seed in seeds]
+    shallow = (ctx.best, ctx.best_list, ctx.nodes, ctx.complete)
+    best, best_list, nodes, complete = _merge([shallow, *results])
 
     reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())
     return SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, *reductions)

@@ -227,5 +227,15 @@ def test_workers_flag(capsys):
     assert json.loads(out)["computed"] == 9
 
 
+def test_incomplete_check_does_not_depend_on_workers(capsys):
+    argv = ["check", "property-D", "--m", "5", "--budget", "400"]
+    serial = run(capsys, *argv)
+    assert run(capsys, *argv, "--workers", "2") == serial
+    code, out = serial
+    assert code == 3
+    data = json.loads(out)
+    assert (data["status"], data["nodes"]) == ("unverified", 804)
+
+
 def test_invalid_workers(capsys):
     assert run(capsys, "constants", "--group", "2,2", "--workers", "0")[0] == 2

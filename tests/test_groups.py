@@ -12,7 +12,7 @@ from zerosum import (
     natural_projection,
     order_of,
 )
-from zerosum.groups import element_permutation
+from zerosum.groups import _aut_rows, aut_permutations, element_permutation
 from zerosum.inverse import _generating_pairs
 
 SMALL_GROUPS = [GroupSpec(2, 2), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 5), GroupSpec(2, 6)]
@@ -253,3 +253,16 @@ def test_natural_projection_is_homomorphism():
     for e1 in g.elements():
         for e2 in g.elements():
             assert proj(e1 + e2) == proj(e1) + proj(e2)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (2, 4), (5, 5), (7, 7)])
+def test_aut_rows_match_bitwise_construction(n1, n2):
+    # rows[j][v] has bit k set iff the k-th permutation (the identity first)
+    # reads index v at position j: the plain construction, one bit at a time.
+    group = GroupSpec(n1, n2)
+    n = group.order
+    want = [[0] * n for _ in range(n)]
+    for bit, p in enumerate((range(n), *aut_permutations(group))):
+        for j, v in enumerate(p):
+            want[j][v] |= 1 << bit
+    assert _aut_rows(group)[1] == want

@@ -11,6 +11,8 @@ and against pinned node counts.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 from itertools import combinations_with_replacement
 
@@ -147,7 +149,7 @@ TOO_BIG_FOR_EXP_LENGTH = {(1, 12), (1, 13), (1, 16), (2, 8)}
 def test_reduced_search_matches_unreduced(n1, n2):
     # Under every setting the least table and the lazily built orbit equal
     # the unreduced search's sorted list; C3+C3 also runs each setting
-    # through the two-worker pool.
+    # through two forked workers.
     group = GroupSpec(n1, n2)
     for crit in Criterion:
         shift_sound = crit in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
@@ -274,3 +276,42 @@ def test_workers_fall_back_to_serial_without_fork(monkeypatch):
     for a, b in zip(serial, pooled):
         assert b.to_json(include_volatile=False) == a.to_json(include_volatile=False)
         assert b.nodes_visited == a.nodes_visited
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 6), (2, 8)])
+def test_incomplete_runs_do_not_depend_on_workers(n1, n2):
+    # The budget caps each depth-2 seed task.  Two workers split the seeds at
+    # depth 4; a seed cut short is walked again whole in the parent, so the
+    # cut falls where one worker's falls.  On C2+C8, 2,000 cuts some depth-4
+    # subtrees themselves short; at 20,000 none is, but the parts of two
+    # seeds add up past the budget.  Five workers, more than most machines
+    # have cores, contend for the counter of subtrees taken.
+    group = GroupSpec(n1, n2)
+    for budget in (5, 40, 400, 2_000, 20_000):
+        serial, *forked = [longest_lacking_search(group, Criterion.EXACT_EXP, SearchOptions(
+            workers=workers, node_budget=budget)) for workers in (1, 2, 5)]
+        want = (serial.nodes, serial.max_length, serial.representatives, serial.complete)
+        for out in forked:
+            assert (out.nodes, out.max_length, out.representatives, out.complete) == want, budget
+        assert serial.complete == ((n1, n2, budget) == (3, 6, 20_000))
+
+
+def _raises(*args):
+    raise ValueError("subtree runner failed")
+
+
+def _dies(*args):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("runner,message", [
+    (_raises, "subtree runner failed"),
+    (_dies, "exited without its results"),
+])
+def test_failed_worker_raises_and_leaves_no_child(monkeypatch, runner, message):
+    # The parent runs no subtree before the workers are done, so the patched
+    # runner fails in the workers only.
+    monkeypatch.setattr(search, "_run_seed", runner)
+    with pytest.raises(RuntimeError, match=message):
+        longest_lacking_search(GroupSpec(2, 8), Criterion.EXACT_EXP, SearchOptions(workers=2))
+    assert multiprocessing.active_children() == []
