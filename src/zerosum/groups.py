@@ -350,6 +350,26 @@ def least_image(counts, group: GroupSpec, bound: tuple | None = None) -> tuple |
     return None if tight and image >= bound else image
 
 
+def aut_match_count(counts, target, group: GroupSpec) -> int:
+    """How many getters of Aut(G) (tuple, the identity, included) map counts
+    to target, a table with the same counts in another order.
+
+    Narrows the bitset of _aut_rows to the getters that read, at each
+    position j of target's support, an index where counts has target[j];
+    counts has target's counts, so the rest of such an image is 0 as well.
+    """
+    getters, rows = _aut_rows(group)
+    support = [v for v, c in enumerate(counts) if c]
+    alive = (1 << len(getters)) - 1
+    for j, c in enumerate(target):
+        if c:
+            row = rows[j]
+            alive &= sum([row[v] for v in support if counts[v] == c])
+            if not alive:
+                break
+    return alive.bit_count()
+
+
 def natural_projection(group: GroupSpec) -> tuple[GroupSpec, Callable[[Element], Element]]:
     """Quotient by H = {m*g : g in G}: C_m + C_mn -> C_m + C_m, (a, b) -> (a, b mod m).
 

@@ -48,7 +48,7 @@ from .groups import (
     order_of,
 )
 from .search import SearchOptions, longest_lacking_search
-from .sequences import Sequence, canonical_form
+from .sequences import Sequence
 
 
 class FormTag(Enum):
@@ -56,6 +56,9 @@ class FormTag(Enum):
     ETA_B = "eta_b"
     S_A = "s_a"
     S_B = "s_b"
+
+
+_TAG_RANK = {tag: rank for rank, tag in enumerate(FormTag)}
 
 
 class ExtremalKind(Enum):
@@ -90,9 +93,8 @@ class ExtremalForm:
         return self.e1.group
 
     def sort_key(self):
-        order = {FormTag.ETA_A: 0, FormTag.ETA_B: 1, FormTag.S_A: 2, FormTag.S_B: 3}
         return (
-            order[self.tag],
+            _TAG_RANK[self.tag],
             self.e1.index,
             self.e2.index,
             self.x if self.x is not None else -1,
@@ -233,14 +235,16 @@ def _units(m: int) -> tuple[int, ...]:
 def _index_tables(group: GroupSpec) -> tuple:
     """Element-index arithmetic for classify(), built once per group.
 
-    (elements, add, neg, scaled, bases, generating): elements[i] has index
-    i; add[i][j] and neg[i] index e_i + e_j and -e_i; scaled holds, per unit
-    x, the pair (x, index of x*e_i over i); bases and generating are
-    _ordered_bases and _generating_pairs as sets of index pairs.
+    (elements, orders, add, neg, scaled, bases, generating): elements[i]
+    has index i and order orders[i]; add[i][j] and neg[i] index e_i + e_j
+    and -e_i; scaled holds, per unit x, the pair (x, index of x*e_i over i);
+    bases and generating are _ordered_bases and _generating_pairs as sets of
+    index pairs.
     """
     elements = tuple(group.elements())
     return (
         elements,
+        tuple(map(order_of, elements)),
         add_table(group),
         bit_tables(group).neg,
         tuple((x, image_indices(group, x, 0, 0, x)) for x in _units(group.m)),
@@ -277,7 +281,7 @@ def classify(seq: Sequence) -> list[ClassifyMatch]:
     is_eta = total == eta_len
     if len(supp) != (3 if is_eta else 4):
         return []
-    elem, add, neg, scaled, bases, generating = _index_tables(grp)
+    elem, orders, add, neg, scaled, bases, generating = _index_tables(grp)
     forms: list[ExtremalForm] = []
 
     def param_s(count: int) -> Optional[int]:
@@ -336,7 +340,7 @@ def classify(seq: Sequence) -> list[ClassifyMatch]:
         ClassifyMatch(
             form=f,
             x_normalized=(2 * f.x <= m) if f.x is not None else True,
-            ord_g1=order_of(f.e1),
+            ord_g1=orders[f.e1.index],
         )
         for f in forms
     ]
@@ -351,6 +355,18 @@ class ExtremalEnumeration:
     nodes: int
 
 
+def _extremal_search(group: GroupSpec, kind: ExtremalKind, options: Optional[SearchOptions]):
+    """The search for the extremals of kind, and their length."""
+    crit = Criterion.SHORT if kind is ExtremalKind.ETA else Criterion.EXACT_EXP
+    target = formula_value(group, crit) - 1
+    out = longest_lacking_search(group, crit, options, depth_cap=target + 3)
+    if out.complete and out.max_length != target:
+        raise RuntimeError(
+            f"extremal search reached length {out.max_length}, expected {target}"
+        )
+    return out, target
+
+
 def enumerate_extremal(
     group: GroupSpec,
     kind: ExtremalKind,
@@ -360,21 +376,18 @@ def enumerate_extremal(
     """All sequences of extremal length lacking the matching pattern.
 
     With up_to_aut, one representative per automorphism orbit (the canonical
-    form), in deterministic order either way.  A run cut short by the node
-    budget keeps only the extremal-length sequences it reached (possibly
-    none), never the shorter maximal ones of a partial tree.
+    form, taken from the search's representatives: SearchOutcome.classes),
+    in deterministic order either way; only the full listing builds the
+    orbit.  A run cut short by the node budget keeps only the
+    extremal-length sequences it reached (possibly none), never the shorter
+    maximal ones of a partial tree.
     """
-    crit = Criterion.SHORT if kind is ExtremalKind.ETA else Criterion.EXACT_EXP
-    target = formula_value(group, crit) - 1
-    out = longest_lacking_search(group, crit, options, depth_cap=target + 3)
-    if out.complete and out.max_length != target:
-        raise RuntimeError(
-            f"extremal search reached length {out.max_length}, expected {target}"
-        )
-    found = out.sequences if out.max_length == target else []
+    out, target = _extremal_search(group, kind, options)
+    if out.max_length != target:
+        found = []
+    else:
+        found = out.classes if up_to_aut else out.sequences
     seqs = [Sequence(group, c) for c in found]
-    if up_to_aut:
-        seqs = sorted({canonical_form(s) for s in seqs})
     return ExtremalEnumeration(group, kind, seqs, out.complete, out.nodes)
 
 
@@ -409,7 +422,10 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
 
     which = "C" checks the eta-extremals, "D" the s-extremals.  Exhaustive
     within the node budget; a budget hit reports "unverified" rather than
-    trusting anything not recomputed here.
+    trusting anything not recomputed here.  The shape is invariant under
+    automorphisms and translations, so the search's representatives decide
+    it and extremal_count is SearchOutcome.orbit_count; the orbit is built
+    only to list the counterexamples of a failed check.
     """
     which = which.upper()
     if which not in ("C", "D"):
@@ -418,12 +434,14 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
         raise ValueError("property checks need m >= 2")
     group = GroupSpec(m, m)
     kind = ExtremalKind.ETA if which == "C" else ExtremalKind.S
-    enum = enumerate_extremal(group, kind, options=options)
+    out = _extremal_search(group, kind, options)[0]
     rep = m - 1
-    if enum.complete:
-        bad = [s for s in enum.sequences if any(c % rep for c in s.counts)]
+    if out.complete:
+        bad = []
+        if any(c % rep for r in out.representatives for c in r):
+            bad = [Sequence(group, s) for s in out.sequences if any(c % rep for c in s)]
         status = "falsified" if bad else "verified"
-        count: Optional[int] = len(enum.sequences)
+        count: Optional[int] = out.orbit_count
     else:
         # A partial enumeration proves nothing: no counterexamples, no count.
         bad, status, count = [], "unverified", None
@@ -433,7 +451,7 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
         status=status,
         counterexamples=bad,
         details={"extremal_count": count, "length": 3 * m - 3 if which == "C" else 4 * m - 4},
-        nodes=enum.nodes,
+        nodes=out.nodes,
     )
 
 

@@ -28,7 +28,10 @@ Two reductions, on wherever sound, shrink the tree without changing any result:
 A search returns the maximal tables it kept with the itemgetters of the
 reductions in force (groups.aut_getters, _bits.shift_getters); SearchOutcome
 re-expands them over the orbit only when a caller reads that set (the same
-set under every option), and finds its least table by groups.least_image.
+set under every option).  Its least table, its size (orbit-stabilizer, over
+the distinct canonical tables of the representatives) and its automorphism
+classes come from the representatives and their translates, by
+groups.least_image and groups.aut_match_count, without the orbit.
 
 Each node extends its parent's state by one push of the criterion's stepper
 (criteria._stepper).  One DFS (_dfs) serves every walk: the shallow walk from
@@ -60,7 +63,9 @@ from typing import Optional
 from ._bits import bit_tables, shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
 from .criteria import Criterion, _shared_stepper, _stepper  # noqa: F401
-from .groups import AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_permutations, least_image
+from .groups import (
+    AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_match_count, aut_permutations, least_image,
+)
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -110,8 +115,14 @@ class SearchOptions:
 class SearchOutcome:
     """The maximal multisets the DFS kept (as counts, sorted, distinct), the
     group and the getters of the reductions in force: aut_getters when
-    pruning, shift_getters when normalizing.  sequences builds their full
-    orbit on first read; least finds its first table by least_image.
+    pruning, shift_getters when normalizing.  Together these generate H,
+    Aut(G) (or the identity) times the translations (or the identity), and
+    the maximal multisets are the H-orbits of the representatives.
+
+    sequences builds that whole orbit on first read, for the callers that
+    list it.  The other reads work from the representatives and never build
+    it: least finds its first table and classes its automorphism classes by
+    least_image, orbit_count its size by orbit-stabilizer.
     """
 
     group: GroupSpec
@@ -134,21 +145,60 @@ class SearchOutcome:
 
     @property
     def least(self) -> tuple[int, ...]:
-        """sequences[0], as least_image over the representatives (or their
-        translates) with the best so far as the bound: no orbit, no sort."""
-        tables = self.representatives
-        if self.shifts:
-            # Every image is an automorphic image of a translate (tuple stands
-            # for the identity getter); automorphisms fix index 0, so only the
-            # translates with the least count there can win.
-            z = min(map(min, tables))
-            tables = [h(t) for t in tables for h, c in zip((tuple, *self.shifts), t) if c == z]
-        if not self.aut:  # unpruned: the tables are closed under Aut(G)
+        """sequences[0], with no orbit and no sort."""
+        return self._least_of(self.representatives)
+
+    @cached_property
+    def orbit_count(self) -> int:
+        """len(sequences), by the orbit-stabilizer theorem: |H| / |Stab(C)|
+        summed over the distinct canonical tables C of the representatives
+        (the least table of each one's H-orbit), so representatives that
+        share an orbit count once."""
+        size = (len(self.aut) + 1) * (len(self.shifts) + 1)
+        canonical = {self._least_of([r]) for r in self.representatives}
+        return sum(size // self._stabilizer(c) for c in canonical)
+
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        """sorted({least_image(s, group) for s in sequences}): the least table
+        of each automorphism class.  least_image is constant on a class, and
+        every member of the orbit is an automorphic image of a translate of
+        a representative, so the translates of the representatives meet
+        every class.  (Unpruned, they are the whole orbit.)"""
+        translates = {t for r in self.representatives for t in self._translates(r)}
+        return sorted({least_image(t, self.group) for t in translates})
+
+    def _translates(self, table, z=None) -> list[tuple[int, ...]]:
+        """table's translates under the translations in force (just table
+        when normalization is off), table first; with z, only those with
+        count z at index 0.  (The getter of shifts[h - 1] moves index h to
+        index 0; tuple stands for the identity.)"""
+        if not self.shifts:
+            return [tuple(table)]
+        return [h(table) for h, c in zip((tuple, *self.shifts), table) if z is None or c == z]
+
+    def _least_of(self, tables) -> tuple[int, ...]:
+        """The least table of the H-orbits of tables, as least_image over
+        their translates with the best so far as the bound.  Automorphisms
+        fix index 0, so only the translates with the least count there can
+        win."""
+        z = min(map(min, tables))
+        tables = [t for table in tables for t in self._translates(table, z)]
+        if not self.aut:  # unpruned: H holds no automorphism
             return min(tables)
         best = None
         for t in tables:
             best = least_image(t, self.group, best) or best
         return best
+
+    def _stabilizer(self, table) -> int:
+        """|Stab(table)| in H.  An element of H is an automorphism after a
+        translation; automorphisms fix index 0, so it maps table to itself
+        only if its translate has table's count at index 0."""
+        translates = self._translates(table, table[0])
+        if not self.aut:
+            return translates.count(tuple(table))
+        return sum(aut_match_count(t, table, self.group) for t in translates)
 
 
 def resolve_budget(explicit: Optional[int]) -> int:

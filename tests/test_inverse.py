@@ -1,8 +1,10 @@
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
+import zerosum.inverse as inverse
 from zerosum import (
     Criterion,
     ExtremalForm,
@@ -245,6 +247,38 @@ def test_check_property_unverified_on_tiny_budget():
 
     res = check_property(4, "D", SearchOptions(node_budget=10))
     assert res.status == "unverified"
+
+
+def test_check_property_lists_the_orbit_of_a_failing_representative(monkeypatch):
+    # No real input fails the shape, so the search is doctored: one of the
+    # three representatives of property D over C3+C3 (without translation
+    # normalization) gets a copy moved to another support index, which
+    # leaves two odd counts.  The count still comes from the
+    # representatives, and the counterexamples are its whole orbit.
+    real = inverse.longest_lacking_search
+    outcomes = []
+
+    def doctored(*args, **kwargs):
+        out = real(*args, **kwargs)
+        reps = list(out.representatives)
+        counts = list(reps[1])
+        i, j = [v for v, c in enumerate(counts) if c][:2]
+        counts[i] -= 1
+        counts[j] += 1
+        reps[1] = tuple(counts)
+        outcomes.append(replace(out, representatives=sorted(reps)))
+        return outcomes[-1]
+
+    monkeypatch.setattr(inverse, "longest_lacking_search", doctored)
+    g, m = GroupSpec(3, 3), 3
+    res = check_property(m, "D", SearchOptions(shift_normalize=False))
+    (out,) = outcomes
+    assert len(out.representatives) == 3
+    bad = [Sequence(g, s) for s in out.sequences if any(c % (m - 1) for c in s)]
+    assert bad and len(bad) < len(out.sequences)
+    assert res.status == "falsified"
+    assert res.counterexamples == bad
+    assert res.details == {"extremal_count": len(out.sequences), "length": 8}
 
 
 def test_incomplete_checks_report_no_counterexamples():

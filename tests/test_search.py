@@ -21,7 +21,7 @@ import pytest
 import zerosum.search as search
 from zerosum import Criterion, GroupSpec, Sequence, SearchOptions, canonical_form, longest_lacking
 from zerosum._bits import shift_getters
-from zerosum.groups import aut_getters, aut_permutations, least_image
+from zerosum.groups import aut_getters, aut_match_count, aut_permutations, least_image
 from zerosum.search import (
     _PACKED_MAX_BITS,
     _digit_width,
@@ -134,6 +134,9 @@ def test_getters_and_canonical_form_match_plain_images(n1, n2):
     for t in [*random_tables(rng, group, 20), *small_tables(group, 2)]:
         least = min([t, *(image(t, p) for p in perms)])
         assert least_image(t, group) == least, t
+        for target in (least, t):
+            want = (t == target) + sum(image(t, p) == target for p in perms)
+            assert aut_match_count(t, target, group) == want, (t, target)
         head, tail = least[:-1], least[-1]
         for bound in (least, t, last, head + (tail + 1,), head + (tail - 1,)):
             assert least_image(t, group, bound) == (least if least < bound else None), (t, bound)
@@ -147,9 +150,9 @@ TOO_BIG_FOR_EXP_LENGTH = {(1, 12), (1, 13), (1, 16), (2, 8)}
 
 @pytest.mark.parametrize("n1,n2", REDUCTION_GROUPS)
 def test_reduced_search_matches_unreduced(n1, n2):
-    # Under every setting the least table and the lazily built orbit equal
-    # the unreduced search's sorted list; C3+C3 also runs each setting
-    # through two forked workers.
+    # Under every setting the least table, the orbit count, the automorphism
+    # classes and the lazily built orbit match the unreduced search's sorted
+    # list; C3+C3 also runs each setting through two forked workers.
     group = GroupSpec(n1, n2)
     for crit in Criterion:
         shift_sound = crit in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
@@ -157,30 +160,35 @@ def test_reduced_search_matches_unreduced(n1, n2):
             continue
         base = longest_lacking_search(group, crit, SearchOptions(aut_pruning=False, shift_normalize=False))
         assert base.least == base.sequences[0] == base.representatives[0], crit
+        classes = sorted({least_image(s, group) for s in base.sequences})
         for prune in (False, True):
             for shiftn in ((False, True) if shift_sound else (False,)):
                 for workers in ((1, 2) if (n1, n2) == (3, 3) else (1,)):
-                    if not (prune or shiftn or workers > 1):
-                        continue
                     key = (crit, prune, shiftn, workers)
-                    out = longest_lacking_search(group, crit, SearchOptions(
-                        aut_pruning=prune, shift_normalize=shiftn, workers=workers))
+                    out = base if not (prune or shiftn or workers > 1) else longest_lacking_search(
+                        group, crit, SearchOptions(aut_pruning=prune, shift_normalize=shiftn, workers=workers))
                     assert out.complete
                     assert out.max_length == base.max_length, key
                     assert out.least == base.sequences[0], key
+                    assert out.orbit_count == len(base.sequences), key
+                    assert out.classes == classes, key
                     assert out.sequences == base.sequences, key
 
 
 @pytest.mark.parametrize("crit", list(Criterion))
 def test_least_is_the_first_of_the_orbit_on_c5_c5(crit):
-    # The orbit re-expansion and the running minimum share no code; C5+C5 is
-    # too big to search unreduced, so its least table is checked against the
-    # lazily built orbit, itself checked against the plain images of the
-    # representatives under some automorphisms and translations.
+    # The orbit re-expansion shares no code with the running minimum, the
+    # orbit-stabilizer count or the classes; C5+C5 is too big to search
+    # unreduced, so those are checked against the lazily built orbit, itself
+    # checked against the plain images of the representatives under some
+    # automorphisms and translations.
     group = GroupSpec(5, 5)
     out = longest_lacking_search(group, crit)
+    count, classes = out.orbit_count, out.classes
     orbit = out.sequences
     assert out.least == orbit[0]
+    assert count == len(orbit)
+    assert classes == sorted({least_image(s, group) for s in orbit})
     members = set(orbit)
     assert orbit == sorted(members) and members.issuperset(out.representatives)
     shifts = range(group.order) if out.shifts else [0]
