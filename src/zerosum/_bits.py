@@ -35,14 +35,10 @@ def bit_tables(group: GroupSpec) -> BitTables:
     size = n1 * n2
     neg = tuple(((n1 - i // n2) % n1) * n2 + (n2 - i % n2) % n2 for i in range(size))
     parts = []
-    for g in range(size):
-        ga, gb = divmod(g, n2)
+    for row in add_table(group):
         by_delta: dict[int, int] = {}
-        for i in range(size):
-            a, b = divmod(i, n2)
-            j = ((a + ga) % n1) * n2 + (b + gb) % n2
-            d = j - i
-            by_delta[d] = by_delta.get(d, 0) | (1 << i)
+        for i, j in enumerate(row):
+            by_delta[j - i] = by_delta.get(j - i, 0) | (1 << i)
         parts.append(tuple(sorted(by_delta.items())))
     return BitTables(group, size, neg, tuple(parts), (1 << size) - 1)
 

@@ -27,7 +27,7 @@ from .inverse import (
     reproduce_exp_minus_1,
     verify_lemma,
 )
-from .search import SearchOptions
+from .search import DEFAULT_NODE_BUDGET, SearchOptions
 from .sequences import parse_sequence
 
 EXIT_OK = 0
@@ -243,7 +243,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget per search task (default: ZEROSUM_BUDGET env or built-in)")
+                   help=f"node budget per search (default: {DEFAULT_NODE_BUDGET:,})")
     p.add_argument("--prune", choices=["on", "off"], default="on",
                    help="automorphism orbit pruning, on wherever Aut(G) can be enumerated "
                         "(group order <= 512); off searches every multiset")

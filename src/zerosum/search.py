@@ -34,24 +34,24 @@ classes come from the representatives and their translates, by
 groups.least_image and groups.aut_match_count, without the orbit.
 
 Each node extends its parent's state by one push of the criterion's stepper
-(criteria._stepper).  One DFS (_dfs) serves every walk: the shallow walk from
-the root stops at depth _TASK_DEPTH and collects the seed tasks there, each
-seed task walks its subtree, and exists_lacking_subsequence() walks the
-sub-multisets of one sequence and stops at the first node of a target length.
+(criteria._stepper).  One DFS (_dfs) serves every walk: a search is one walk
+from the root, and exists_lacking_subsequence() walks the sub-multisets of
+one sequence and stops at the first node of a target length.  The node
+budget caps the nodes one search visits, so a search cut short reports
+exactly that many.
 
-With workers > 1, where the platform can fork, the parent walks each seed
-task down to depth _TASK_DEPTH + 2 and that many forked processes pull the
+With workers > 1, where the platform can fork, the parent walks from the
+root down to depth _SPLIT_DEPTH and that many forked processes pull the
 subtrees below it, one at a time, until none is left (the split is nauty
 geng's res/mod idea, McKay and Piperno 2014, with subtrees pulled on demand).
-The budget still caps each seed task: a seed whose parts pass it, or that has
-a part cut short, is walked again whole in the parent, so every output,
-incomplete runs included, is the same as with one worker.
+A split search that does not complete within the budget is walked again in
+one process, so every output, incomplete runs included, is the same as with
+one worker.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import traceback
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -69,12 +69,12 @@ from .groups import (
 from .sequences import Sequence
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
-_TASK_DEPTH = 2
+_SPLIT_DEPTH = 4  # with workers > 1, forked workers take the subtrees below it
 # The packed test costs O(_packed_bits) per child, the trie walk a cost that
 # depends on how long images tie.  Only the trie fits at the top of the
 # pruned range (order <= 512): on C16+C32 the packed value would have 84M
-# bits and its |G| deltas would take 5.4 GB.  Per node, on the same seed
-# tasks spread over the search (2-core VM, CPython 3.11), the packed test
+# bits and its |G| deltas would take 5.4 GB.  Per node, on the same depth-2
+# subtrees spread over the search (2-core VM, CPython 3.11), the packed test
 # wins 1.1-5x on every group measured up to C3+C36 (139,535 bits); the trie
 # wins 1.1-1.2x on C4+C20 (153,583), the two are within 25% on C3+C42
 # (217,259), and the trie wins 1.4-2.5x from C3+C33 (285,005) on, C7+C7
@@ -91,14 +91,12 @@ class SearchOptions:
     sound, False turns it off: pruning needs Aut(G) enumerated, i.e. group
     order <= AUT_ENUMERATION_MAX_ORDER (512), and translation normalization
     needs an exp-length criterion (EXACT_EXP, EXP_MULTIPLE); elsewhere the
-    search runs without it.  node_budget None falls back to the
-    ZEROSUM_BUDGET environment variable, then to DEFAULT_NODE_BUDGET; the
-    budget caps visited nodes per search task (the shallow walk from the
-    root, which is always visited, and each seed task).  workers > 1 forks
+    search runs without it.  node_budget caps the nodes one search visits
+    (None: DEFAULT_NODE_BUDGET); a search cut short visits exactly that
+    many, so a budget of 0 visits not even the root.  workers > 1 forks
     that many processes, which pull the subtrees below depth 4 until none
-    is left; the budget still caps each depth-2 seed task and every output
-    is the same as with one worker.  Where the platform cannot fork, the
-    seed tasks run serially.
+    is left; every output is the same as with one worker.  Where the
+    platform cannot fork, the search runs in one process.
     collect_all is read only by constants.longest_lacking: it makes the
     report carry every extremal sequence (the full orbit) instead of the
     least one (SearchOutcome.least).
@@ -203,13 +201,7 @@ class SearchOutcome:
 
 def resolve_budget(explicit: Optional[int]) -> int:
     if explicit is None:
-        env = os.environ.get("ZEROSUM_BUDGET")
-        if not env:
-            return DEFAULT_NODE_BUDGET
-        try:
-            explicit = int(env)
-        except ValueError:
-            raise ValueError(f"ZEROSUM_BUDGET must be an integer, got {env!r}") from None
+        return DEFAULT_NODE_BUDGET
     if explicit < 0:
         raise ValueError("node budget must be >= 0")
     return explicit
@@ -374,10 +366,9 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
             raise _TargetReached
         ctx.frontier.append((tuple(counts), state, start))
         return
-    ctx.nodes += 1
-    if ctx.nodes > ctx.budget:
-        ctx.complete = False
+    if ctx.nodes == ctx.budget:
         raise _BudgetExhausted
+    ctx.nodes += 1
     if length >= ctx.best:
         if length > ctx.best:
             if length > ctx.cap:
@@ -414,19 +405,19 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
         counts[e] -= 1
 
 
-def _walk(ctx: _Ctx, seed):
-    """Walk the subtree below seed, a frontier node (counts, state, start)
-    of length sum(counts): (best, best_list, nodes, complete)."""
-    counts0, state, start = seed
+def _walk(ctx: _Ctx, top):
+    """Walk the subtree below top, the root or a frontier node (counts,
+    state, start) of length sum(counts): (best, best_list, nodes, complete)."""
+    counts0, state, start = top
     try:
         _dfs(ctx, list(counts0), state, start, sum(counts0), ctx.orbit_value(counts0))
     except _BudgetExhausted:
-        pass
+        ctx.complete = False
     return ctx.best, ctx.best_list, ctx.nodes, ctx.complete
 
 
-def _run_seed(group, criterion, seed, prune, budget, cap):
-    return _walk(_Ctx(group, criterion, None, prune, budget, cap), seed)
+def _run_subtree(group, criterion, top, prune, budget, cap):
+    return _walk(_Ctx(group, criterion, None, prune, budget, cap), top)
 
 
 def _merge(parts):
@@ -443,36 +434,24 @@ def _merge(parts):
     return best, best_list, nodes, complete
 
 
-def _forked_seeds(seeds, workers, group, criterion, prune, budget, cap):
-    """[_run_seed(..., seed, ...) for seed in seeds], the subtrees below
-    depth _TASK_DEPTH + 2 run by forked workers.
-
-    The parent walks each seed down to that depth and runs no subtree
-    itself.  A seed whose parts, merged in subtree order, pass the budget or
-    include a walk cut short is walked again whole, so that its result is
-    the one a lone seed task gives, cut for cut.
-    """
-    heads, tasks, spans = [], [], []
-    for seed in seeds:
-        ctx = _Ctx(group, criterion, None, prune, budget, cap, _TASK_DEPTH + 2, [])
-        heads.append(_walk(ctx, seed))
-        subtrees = ctx.frontier if ctx.complete else []
-        # A subtree past what the seed's budget leaves sends the seed back anyway.
-        tasks += [(group, criterion, sub, prune, budget - ctx.nodes, cap) for sub in subtrees]
-        spans.append(len(tasks))
-    parts = _run_forked(tasks, workers)
-    results, lo = [], 0
-    for seed, head, hi in zip(seeds, heads, spans):
-        merged = _merge([head, *parts[lo:hi]])
-        if not merged[3] or merged[2] > budget:
-            merged = _run_seed(group, criterion, seed, prune, budget, cap)
-        results.append(merged)
-        lo = hi
-    return results
+def _forked_search(root, workers, group, criterion, prune, budget, cap):
+    """_run_subtree(..., root, ...), with the subtrees below depth
+    _SPLIT_DEPTH run by forked workers; the parent runs none of them.  A
+    split search whose parts pass the budget or include a walk cut short is
+    walked again in one process, so its result is a single walk's, cut for cut."""
+    ctx = _Ctx(group, criterion, None, prune, budget, cap, _SPLIT_DEPTH, [])
+    head = _walk(ctx, root)
+    if ctx.complete:
+        # A subtree past what the head leaves of the budget sends the search back anyway.
+        tasks = [(group, criterion, sub, prune, budget - ctx.nodes, cap) for sub in ctx.frontier]
+        merged = _merge([head, *_run_forked(tasks, workers)])
+        if merged[3] and merged[2] <= budget:
+            return merged
+    return _run_subtree(group, criterion, root, prune, budget, cap)
 
 
 def _run_forked(tasks, workers):
-    """[_run_seed(*t) for t in tasks], run by up to `workers` forked
+    """[_run_subtree(*t) for t in tasks], run by up to `workers` forked
     processes that each take the next task not yet taken until none is
     left, then send their results in one message.  A worker that fails or
     exits without sending makes this raise; every worker is joined before
@@ -525,7 +504,7 @@ def _worker(tasks, taken, conn):
                 taken.value = i + 1
             if i >= len(tasks):
                 break
-            done.append((i, _run_seed(*tasks[i])))
+            done.append((i, _run_subtree(*tasks[i])))
         conn.send((True, done))
     except Exception:
         conn.send((False, traceback.format_exc()))
@@ -553,33 +532,20 @@ def longest_lacking_search(
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
     prune = opts.aut_pruning and group.order <= AUT_ENUMERATION_MAX_ORDER
 
-    # Shallow walk: visit the root and depth-1 nodes, seed tasks at depth 2.
-    # The root is visited whatever the budget, hence a budget of at least 1.
-    state0, push = _shared_stepper(group, criterion)
-    ctx = _Ctx(group, criterion, None, prune, max(budget, 1), cap, _TASK_DEPTH, [])
-    counts = [0] * ctx.size
-    try:
-        if shiftn:
-            # The root's one child is {0}, blocked only on C1; every
-            # automorphism fixes 0, so {0} is orbit-minimal.
-            ctx.nodes, ctx.best, ctx.best_list = 1, 0, [tuple(counts)]
-            if not state0[0] & 1:
-                counts[0] = 1
-                _dfs(ctx, counts, push(state0, 0), 0, 1, ctx.orbit_value(counts))
-        else:
-            _dfs(ctx, counts, state0, 0, 0, ctx.orbit_value(counts))
-    except _BudgetExhausted:
-        pass
-
-    seeds = ctx.frontier
+    state0 = _shared_stepper(group, criterion)[0]
+    if shiftn:
+        # Every nonempty sequence has a translate containing 0, which every
+        # automorphism fixes, so the root keeps one child, {0} (blocked on C1
+        # all the same), and blocks the rest.  The pushes of EXACT_EXP and
+        # EXP_MULTIPLE rebuild the blocked set from the packed rows, so no
+        # node below the root sees these blocks.
+        state0 = (state0[0] | (bit_tables(group).full_mask ^ 1), state0[1])
+    root = ((0,) * group.order, state0, 0)
     if opts.workers > 1 and "fork" in get_all_start_methods():
-        results = _forked_seeds(seeds, opts.workers, group, criterion, prune, budget, cap)
-    else:
-        # One worker, or a platform that cannot fork: the seed tasks run
-        # here, one after another, with the same results.
-        results = [_run_seed(group, criterion, seed, prune, budget, cap) for seed in seeds]
-    shallow = (ctx.best, ctx.best_list, ctx.nodes, ctx.complete)
-    best, best_list, nodes, complete = _merge([shallow, *results])
+        found = _forked_search(root, opts.workers, group, criterion, prune, budget, cap)
+    else:  # one worker, or a platform that cannot fork
+        found = _run_subtree(group, criterion, root, prune, budget, cap)
+    best, best_list, nodes, complete = found
 
     reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())
     return SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, *reductions)

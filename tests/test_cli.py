@@ -208,19 +208,6 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(path.read_text())["computed"] == 3
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("ZEROSUM_BUDGET", "40")
-    code, out = run(capsys, "constants", "--group", "3,6", "--which", "s")
-    assert code == 3
-    assert json.loads(out)["complete"] is False
-
-
-def test_budget_env_var_rejects_invalid_values(capsys, monkeypatch):
-    for value in ("-5", "many", "1.5"):
-        monkeypatch.setenv("ZEROSUM_BUDGET", value)
-        assert run(capsys, "constants", "--group", "3,6", "--which", "s")[0] == 2
-
-
 def test_workers_flag(capsys):
     code, out = run(capsys, "constants", "--group", "2,4", "--which", "s", "--workers", "2")
     assert code == 0
@@ -234,7 +221,7 @@ def test_incomplete_check_does_not_depend_on_workers(capsys):
     code, out = serial
     assert code == 3
     data = json.loads(out)
-    assert (data["status"], data["nodes"]) == ("unverified", 804)
+    assert (data["status"], data["nodes"]) == ("unverified", 400)
 
 
 def test_invalid_workers(capsys):

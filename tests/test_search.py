@@ -247,14 +247,17 @@ def test_packed_and_trie_searches_agree(n1, n2, monkeypatch):
 
 
 @pytest.mark.parametrize("crit", [Criterion.ANY, Criterion.EXACT_EXP])
-@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize("budget", [0, 1, 2])
 def test_tiny_budget_visits_the_root_and_one_child(crit, budget):
-    # The root is visited whatever the budget; the walk stops at the first
-    # node past the budget, which is counted.
+    # The walk stops at the first node past the budget, which is not
+    # counted: budget 0 visits nothing, 1 only the root, 2 the root and its
+    # first child.
     group = GroupSpec(2, 4)
     out = longest_lacking_search(group, crit, SearchOptions(node_budget=budget))
     assert not out.complete
-    assert (out.max_length, out.sequences, out.nodes) == (0, [(0,) * group.order], 2)
+    assert (out.nodes, out.max_length, len(out.representatives)) == (budget, budget - 1, min(budget, 1))
+    if budget < 2:
+        assert out.sequences == [(0,) * group.order] * budget
 
 
 def test_pruning_has_no_cliff_in_aut_size():
@@ -288,12 +291,12 @@ def test_workers_fall_back_to_serial_without_fork(monkeypatch):
 
 @pytest.mark.parametrize("n1,n2", [(3, 6), (2, 8)])
 def test_incomplete_runs_do_not_depend_on_workers(n1, n2):
-    # The budget caps each depth-2 seed task.  Two workers split the seeds at
-    # depth 4; a seed cut short is walked again whole in the parent, so the
-    # cut falls where one worker's falls.  On C2+C8, 2,000 cuts some depth-4
-    # subtrees themselves short; at 20,000 none is, but the parts of two
-    # seeds add up past the budget.  Five workers, more than most machines
-    # have cores, contend for the counter of subtrees taken.
+    # The budget caps the whole search.  Two workers split it at depth 4; a
+    # split search cut short is walked again in the parent, so the cut falls
+    # where one worker's falls, after exactly budget nodes.  On C2+C8, 2,000
+    # cuts some depth-4 subtrees themselves short; at 20,000 none is, but
+    # the parts add up past the budget.  Five workers, more than most
+    # machines have cores, contend for the counter of subtrees taken.
     group = GroupSpec(n1, n2)
     for budget in (5, 40, 400, 2_000, 20_000):
         serial, *forked = [longest_lacking_search(group, Criterion.EXACT_EXP, SearchOptions(
@@ -302,6 +305,18 @@ def test_incomplete_runs_do_not_depend_on_workers(n1, n2):
         for out in forked:
             assert (out.nodes, out.max_length, out.representatives, out.complete) == want, budget
         assert serial.complete == ((n1, n2, budget) == (3, 6, 20_000))
+        assert serial.complete or serial.nodes == budget
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_of_exactly_budget_nodes_is_complete(workers):
+    # C3+C6 s visits 7,924 nodes: a budget of that many completes it, one
+    # fewer cuts it after 7,923.
+    group = GroupSpec(3, 6)
+    for budget, complete in ((7_924, True), (7_923, False)):
+        out = longest_lacking_search(group, Criterion.EXACT_EXP, SearchOptions(
+            workers=workers, node_budget=budget))
+        assert (out.nodes, out.complete) == (budget, complete)
 
 
 def _raises(*args):
@@ -319,7 +334,7 @@ def _dies(*args):
 def test_failed_worker_raises_and_leaves_no_child(monkeypatch, runner, message):
     # The parent runs no subtree before the workers are done, so the patched
     # runner fails in the workers only.
-    monkeypatch.setattr(search, "_run_seed", runner)
+    monkeypatch.setattr(search, "_run_subtree", runner)
     with pytest.raises(RuntimeError, match=message):
         longest_lacking_search(GroupSpec(2, 8), Criterion.EXACT_EXP, SearchOptions(workers=2))
     assert multiprocessing.active_children() == []
