@@ -5,11 +5,12 @@ classification of the extremal sequences; verification commands for the
 supporting structural lemmas.
 """
 
-from .constants import SearchReport, check_direct_formulas, formula_value, longest_lacking
+from .constants import SearchReport, check_direct_formulas, longest_lacking
 from .criteria import (
     Criterion,
     SumProfile,
     build_profile,
+    formula_value,
     has_zero_sum_of_length,
     lacks,
     verify_shift_lemma,
@@ -22,7 +23,6 @@ from .groups import (
     automorphisms,
     is_basis_pair,
     is_generating_pair,
-    natural_projection,
     order_of,
 )
 from .inverse import (
@@ -44,7 +44,6 @@ from .search import SearchOptions, SearchOutcome, exists_lacking_subsequence, lo
 from .sequences import (
     Sequence,
     SequenceParseError,
-    apply_hom,
     canonical_form,
     parse_sequence,
     shift,
@@ -69,7 +68,6 @@ __all__ = [
     "Sequence",
     "SequenceParseError",
     "SumProfile",
-    "apply_hom",
     "automorphisms",
     "build_profile",
     "canonical_form",
@@ -86,7 +84,6 @@ __all__ = [
     "lacks",
     "longest_lacking",
     "longest_lacking_search",
-    "natural_projection",
     "order_of",
     "parse_sequence",
     "reproduce_exp_minus_1",

@@ -39,23 +39,8 @@ EXIT_BUDGET = 3
 @dataclass
 class RunConfig:
     fmt: str
-    workers: int
-    budget: Optional[int]
-    prune: bool
+    options: SearchOptions
     output: Optional[str]
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0")
-
-    def search_options(self) -> SearchOptions:
-        return SearchOptions(
-            aut_pruning=self.prune,
-            workers=self.workers,
-            node_budget=self.budget,
-        )
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -91,11 +76,10 @@ def _constant_line(r) -> str:
 
 def _cmd_constants(args, cfg: RunConfig) -> int:
     group = GroupSpec.parse(args.group)
-    opts = cfg.search_options()
     if args.which == "all":
-        _, reports = check_direct_formulas(group, opts)
+        _, reports = check_direct_formulas(group, cfg.options)
     else:
-        reports = [longest_lacking(group, Criterion.from_name(args.which), opts)]
+        reports = [longest_lacking(group, Criterion.from_name(args.which), cfg.options)]
 
     if cfg.fmt == "json":
         payload = [r.to_json() for r in reports]
@@ -122,7 +106,7 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
         raise ValueError("extremal enumeration needs a rank-2 group")
     kind = ExtremalKind(args.kind)
     enum = enumerate_extremal(group, kind, up_to_aut=args.up_to_aut,
-                              options=cfg.search_options())
+                              options=cfg.options)
     records = []
     any_unmatched = False
     for seq in enum.sequences:
@@ -158,12 +142,11 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
-    opts = cfg.search_options()
     target = args.target
     if target in ("property-C", "property-D"):
         if args.m is None:
             raise ValueError(f"{target} needs --m")
-        result = check_property(args.m, target[-1], opts)
+        result = check_property(args.m, target[-1], cfg.options)
     elif target == "noshort":
         if args.m is None:
             raise ValueError("noshort needs --m")
@@ -175,7 +158,7 @@ def _cmd_check(args, cfg: RunConfig) -> int:
     else:  # invcyc
         if args.n is None:
             raise ValueError("invcyc needs --n")
-        result = verify_lemma(LemmaName.INVCYC, n=args.n, options=opts)
+        result = verify_lemma(LemmaName.INVCYC, n=args.n, options=cfg.options)
 
     if cfg.fmt == "json":
         _emit(cfg, _dump_json(result.to_json()))
@@ -301,8 +284,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(fmt=args.format, workers=args.workers, budget=args.budget,
-                        prune=args.prune == "on", output=args.output)
+        # Built before any command runs: SearchOptions rejects a bad
+        # --workers or --budget, also for the commands that run no search.
+        opts = SearchOptions(aut_pruning=args.prune == "on", workers=args.workers,
+                             node_budget=args.budget)
+        cfg = RunConfig(fmt=args.format, options=opts, output=args.output)
         return args.func(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Closed formulas for the four zero-sum constants and exhaustive cross-checks.
-
-For G = C_m + C_mn (m = 1 covers cyclic groups):
+"""Exhaustive cross-checks of the four zero-sum constants against their
+closed formulas (criteria.formula_value).  For G = C_m + C_mn (m = 1 covers
+cyclic groups):
 
     D(G)              = m + mn - 1
     eta(G)            = 2m + mn - 2
@@ -17,24 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .criteria import Criterion, lacks
+from .criteria import Criterion, formula_value, lacks
 from .groups import GroupSpec
 from .search import SearchOptions, longest_lacking_search
 from .sequences import Sequence
-
-
-def formula_value(group: GroupSpec, criterion: Criterion) -> int:
-    """The known value of the constant on C_m + C_mn."""
-    m, mn = group.n1, group.n2
-    if criterion is Criterion.ANY:
-        return m + mn - 1
-    if criterion is Criterion.SHORT:
-        return 2 * m + mn - 2
-    if criterion is Criterion.EXP_MULTIPLE:
-        return m + 2 * mn - 2
-    if criterion is Criterion.EXACT_EXP:
-        return 2 * m + 2 * mn - 3
-    raise ValueError(f"unknown criterion {criterion!r}")
 
 
 @dataclass
@@ -102,7 +88,7 @@ def longest_lacking(
     opts = options or SearchOptions()
     formula = formula_value(group, criterion)
     start = time.perf_counter()
-    out = longest_lacking_search(group, criterion, opts, depth_cap=formula + 2)
+    out = longest_lacking_search(group, criterion, opts)
     elapsed = (time.perf_counter() - start) * 1000.0
     if not out.complete:
         kept = []

@@ -59,6 +59,20 @@ class Criterion(Enum):
         return range(exp, total + 1, exp)
 
 
+def formula_value(group: GroupSpec, criterion: Criterion) -> int:
+    """The known value of the constant on C_m + C_mn."""
+    m, mn = group.n1, group.n2
+    if criterion is Criterion.ANY:
+        return m + mn - 1
+    if criterion is Criterion.SHORT:
+        return 2 * m + mn - 2
+    if criterion is Criterion.EXP_MULTIPLE:
+        return m + 2 * mn - 2
+    if criterion is Criterion.EXACT_EXP:
+        return 2 * m + 2 * mn - 3
+    raise ValueError(f"unknown criterion {criterion!r}")
+
+
 def _stepper(group: GroupSpec, criterion: Criterion):
     """Per-criterion incremental state.
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 # automorphisms() refuses groups above this order, and the search runs
 # unpruned there.  Enumeration is |G|^2/n generation tests, so the cap is not
@@ -226,24 +226,6 @@ class Automorphism:
             raise ValueError("element does not belong to this automorphism's group")
         return e.a * self.img1 + e.b * self.img2
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        if self.group != other.group:
-            raise ValueError("automorphisms of different groups")
-        return Automorphism(self.group, self(other.img1), self(other.img2))
-
-    def inverse(self) -> "Automorphism":
-        grp = self.group
-        perm = element_permutation(self)
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        return Automorphism(
-            grp,
-            grp.element_at(inv[grp.element(1, 0).index]),
-            grp.element_at(inv[grp.element(0, 1).index]),
-        )
-
 
 @lru_cache(maxsize=None)
 def automorphisms(group: GroupSpec) -> tuple[Automorphism, ...]:
@@ -369,20 +351,3 @@ def aut_match_count(counts, target, group: GroupSpec) -> int:
                 break
     return alive.bit_count()
 
-
-def natural_projection(group: GroupSpec) -> tuple[GroupSpec, Callable[[Element], Element]]:
-    """Quotient by H = {m*g : g in G}: C_m + C_mn -> C_m + C_m, (a, b) -> (a, b mod m).
-
-    The returned map is a surjective homomorphism with kernel H of size n.
-    """
-    if group.rank != 2:
-        raise ValueError("natural projection requires a group of rank 2")
-    m = group.n1
-    quotient = GroupSpec(m, m)
-
-    def project(e: Element) -> Element:
-        if e.group != group:
-            raise ValueError("element does not belong to the projected group")
-        return Element(quotient, e.a, e.b % m)
-
-    return quotient, project

@@ -35,8 +35,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import Optional
 
 from ._bits import add_table, bit_tables
-from .constants import formula_value
-from .criteria import Criterion, has_zero_sum_of_length, lacks
+from .criteria import Criterion, formula_value, has_zero_sum_of_length, lacks
 from .groups import (
     Element,
     GroupSpec,
@@ -359,7 +358,7 @@ def _extremal_search(group: GroupSpec, kind: ExtremalKind, options: Optional[Sea
     """The search for the extremals of kind, and their length."""
     crit = Criterion.SHORT if kind is ExtremalKind.ETA else Criterion.EXACT_EXP
     target = formula_value(group, crit) - 1
-    out = longest_lacking_search(group, crit, options, depth_cap=target + 3)
+    out = longest_lacking_search(group, crit, options)
     if out.complete and out.max_length != target:
         raise RuntimeError(
             f"extremal search reached length {out.max_length}, expected {target}"
@@ -475,12 +474,14 @@ def _check_noshort(m: int) -> CheckResult:
     a basis: T = f1 f2 (-x*f1 + f2) with gcd(x, m) = 1 and x <= m/2, and
     dropping any one term of T leaves a zero-sum free (m-1)-th power.
 
-    Runs on element indices i = a*m + b: (f1, f2) is a basis iff its
-    determinant a1*b2 - a2*b1 is a unit mod m."""
+    Runs on element indices, on classify()'s tables (_index_tables): on
+    C_m + C_m every basis element has order m, so (f1, f2) is a basis iff
+    its index pair is in bases, and x*f1 is read from scaled."""
     if m < 2:
         raise ValueError("noshort needs m >= 2")
     group = GroupSpec(m, m)
-    units = [x for x in _units(m) if 2 * x <= m]
+    _, _, add, neg, scaled, bases, _ = _index_tables(group)
+    scaled = [(x, times) for x, times in scaled if 2 * x <= m]
     x_values: set[int] = set()
     passing = 0
     bad: list[Sequence] = []
@@ -492,10 +493,9 @@ def _check_noshort(m: int) -> CheckResult:
         supp = set(combo)
         found = set()
         for i1, i2 in permutations(supp, 2):
-            i3 = next(i for i in supp if i not in (i1, i2))
-            (a1, b1), (a2, b2) = divmod(i1, m), divmod(i2, m)
-            if math.gcd(a1 * b2 - a2 * b1, m) == 1:
-                found.update(x for x in units if ((a2 - x * a1) % m) * m + (b2 - x * b1) % m == i3)
+            if (i1, i2) in bases:
+                i3 = next(i for i in supp if i not in (i1, i2))
+                found.update(x for x, times in scaled if add[i2][neg[times[i1]]] == i3)
         if not found:
             bad.append(power)
             continue
@@ -544,14 +544,14 @@ def _check_invcyc(n: int, options: Optional[SearchOptions] = None) -> CheckResul
     nodes = 0
     complete = True
 
-    out_any = longest_lacking_search(group, Criterion.ANY, options, depth_cap=n + 2)
+    out_any = longest_lacking_search(group, Criterion.ANY, options)
     nodes += out_any.nodes
     complete = complete and out_any.complete
     got_any = {Sequence(group, c) for c in out_any.sequences}
     generators = [e for e in group.elements() if order_of(e) == n]
     pred_any = {Sequence.from_items(group, [(e, n - 1)]) for e in generators}
 
-    out_s = longest_lacking_search(group, Criterion.EXACT_EXP, options, depth_cap=2 * n + 1)
+    out_s = longest_lacking_search(group, Criterion.EXACT_EXP, options)
     nodes += out_s.nodes
     complete = complete and out_s.complete
     got_s = {Sequence(group, c) for c in out_s.sequences}

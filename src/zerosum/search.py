@@ -62,7 +62,7 @@ from typing import Optional
 
 from ._bits import bit_tables, shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
-from .criteria import Criterion, _shared_stepper, _stepper  # noqa: F401
+from .criteria import Criterion, _shared_stepper, _stepper, formula_value  # noqa: F401
 from .groups import (
     AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_match_count, aut_permutations, least_image,
 )
@@ -100,6 +100,10 @@ class SearchOptions:
     collect_all is read only by constants.longest_lacking: it makes the
     report carry every extremal sequence (the full orbit) instead of the
     least one (SearchOutcome.least).
+
+    Construction raises ValueError on workers < 1 or node_budget < 0.  This
+    is the only check of the two, and the CLI builds its options before it
+    runs a command, so every command rejects them.
     """
 
     collect_all: bool = False
@@ -107,6 +111,12 @@ class SearchOptions:
     shift_normalize: bool = True
     workers: int = 1
     node_budget: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError("node budget must be >= 0")
 
 
 @dataclass
@@ -197,14 +207,6 @@ class SearchOutcome:
         if not self.aut:
             return translates.count(tuple(table))
         return sum(aut_match_count(t, table, self.group) for t in translates)
-
-
-def resolve_budget(explicit: Optional[int]) -> int:
-    if explicit is None:
-        return DEFAULT_NODE_BUDGET
-    if explicit < 0:
-        raise ValueError("node budget must be >= 0")
-    return explicit
 
 
 @lru_cache(maxsize=None)
@@ -513,21 +515,18 @@ def _worker(tasks, taken, conn):
 
 
 def longest_lacking_search(
-    group: GroupSpec,
-    criterion: Criterion,
-    options: Optional[SearchOptions] = None,
-    depth_cap: Optional[int] = None,
+    group: GroupSpec, criterion: Criterion, options: Optional[SearchOptions] = None
 ) -> SearchOutcome:
     """Exhaust the downset of criterion-lacking multisets over the group.
 
     Returns the maximum length and the maximal multisets, kept as orbit
-    representatives (see the module docstring).
+    representatives (see the module docstring).  A node deeper than the
+    constant's closed formula + 2 (formula_value) raises RuntimeError: the
+    deepest node has length formula - 1, so such a node is a bug.
     """
     opts = options or SearchOptions()
-    if opts.workers < 1:
-        raise ValueError("workers must be >= 1")
-    budget = resolve_budget(opts.node_budget)
-    cap = depth_cap if depth_cap is not None else (1 << 30)
+    budget = DEFAULT_NODE_BUDGET if opts.node_budget is None else opts.node_budget
+    cap = formula_value(group, criterion) + 2
 
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
     prune = opts.aut_pruning and group.order <= AUT_ENUMERATION_MAX_ORDER

@@ -1,10 +1,10 @@
-"""Multiset sequences over a group: parsing, sums, shifts, images, canonical forms."""
+"""Multiset sequences over a group: parsing, sums, shifts, canonical forms."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ._bits import add_table, bit_tables
 from .groups import Element, GroupSpec, least_image
@@ -51,16 +51,6 @@ class Sequence:
     def __len__(self) -> int:
         return sum(self.counts)
 
-    def __add__(self, other: "Sequence") -> "Sequence":
-        if self.group != other.group:
-            raise ValueError("sequences over different groups")
-        return Sequence(self.group, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __pow__(self, k: int) -> "Sequence":
-        if k < 0:
-            raise ValueError("negative power")
-        return Sequence(self.group, tuple(c * k for c in self.counts))
-
     def multiplicity(self, e: Element) -> int:
         return self.counts[e.index]
 
@@ -81,12 +71,6 @@ class Sequence:
             raise ValueError("sequences over different groups")
         return all(a >= b for a, b in zip(self.counts, sub.counts))
 
-    def without(self, sub: "Sequence") -> "Sequence":
-        """The sequence R with R + sub == self."""
-        if not self.contains(sub):
-            raise ValueError("not a subsequence")
-        return Sequence(self.group, tuple(a - b for a, b in zip(self.counts, sub.counts)))
-
     def with_term(self, e: Element, k: int = 1) -> "Sequence":
         if e.group != self.group:
             raise ValueError("term from a different group")
@@ -99,19 +83,6 @@ class Sequence:
         for e, k in self.items():
             bits.append(str(e) if k == 1 else f"{e}^{k}")
         return " ".join(bits)
-
-    def to_json(self) -> dict:
-        return {
-            "group": [self.group.n1, self.group.n2],
-            "terms": [{"elem": [e.a, e.b], "mult": k} for e, k in self.items()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Sequence":
-        group = GroupSpec(*data["group"])
-        return cls.from_items(
-            group, [(group.element(*t["elem"]), t["mult"]) for t in data["terms"]]
-        )
 
     def __str__(self) -> str:
         return self.text()
@@ -167,23 +138,6 @@ def shift(h: Element, seq: Sequence) -> Sequence:
         raise ValueError("shift element from a different group")
     row = add_table(seq.group)[bit_tables(seq.group).neg[h.index]]
     return Sequence(seq.group, tuple(map(seq.counts.__getitem__, row)))
-
-
-def apply_hom(
-    f: Callable[[Element], Element], seq: Sequence, into: Optional[GroupSpec] = None
-) -> Sequence:
-    """Termwise image under a homomorphism f; multiplicities accumulate.
-
-    f must be a group homomorphism (caller-asserted).  The codomain is read
-    off the images; pass `into` to fix it for empty sequences.
-    """
-    images = [(f(e), k) for e, k in seq.items()]
-    if not images:
-        return Sequence.empty(into if into is not None else seq.group)
-    target = images[0][0].group
-    if into is not None and into != target:
-        raise ValueError(f"images lie in {target}, not in {into}")
-    return Sequence.from_items(target, images)
 
 
 def canonical_form(seq: Sequence) -> Sequence:

@@ -158,6 +158,19 @@ def test_check_missing_param(capsys):
     assert run(capsys, "check", "noshort")[0] == 2
 
 
+def test_search_options_are_checked_for_every_command(capsys):
+    # The CLI builds its SearchOptions before it runs a command, so the
+    # commands that run no search reject a bad --workers or --budget too.
+    for argv, message in (
+        (["check", "noshort", "--m", "3", "--workers", "0"], "workers must be >= 1"),
+        (["reproduce", "exp-1", "--m", "2", "--n", "3", "--budget", "-1"], "node budget must be >= 0"),
+        (["classify", "--group", "2,2", "--seq", "(1,0)", "--workers", "0"], "workers must be >= 1"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
+
+
 def test_reproduce_exp_minus_1(capsys):
     code, out = run(capsys, "reproduce", "exp-1", "--m", "2", "--n", "3")
     assert code == 0

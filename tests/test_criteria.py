@@ -196,7 +196,7 @@ def test_heredity_under_deletion():
             while len(s) > 0:
                 assert lacks(s, crit)
                 e = rng.choice(s.support())
-                s = s.without(Sequence.from_items(g, [(e, 1)]))
+                s = s.with_term(e, -1)
             assert lacks(s, crit)
 
 

@@ -260,6 +260,14 @@ def test_tiny_budget_visits_the_root_and_one_child(crit, budget):
         assert out.sequences == [(0,) * group.order] * budget
 
 
+def test_search_deeper_than_the_formula_hits_the_safety_cap(monkeypatch):
+    # The search caps its depth at formula_value + 2 itself.  With a formula
+    # of 1 the cap is 3, and C2+C4's D search reaches length 4.
+    monkeypatch.setattr(search, "formula_value", lambda group, criterion: 1)
+    with pytest.raises(RuntimeError, match="depth 4 exceeded the safety cap 3"):
+        longest_lacking_search(GroupSpec(2, 4), Criterion.ANY)
+
+
 def test_pruning_has_no_cliff_in_aut_size():
     # |Aut(C7+C7)| = 2016: the default search prunes it all the same.
     out = longest_lacking_search(GroupSpec(7, 7), Criterion.SHORT, SearchOptions(node_budget=0))

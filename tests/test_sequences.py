@@ -6,10 +6,8 @@ from zerosum import (
     GroupSpec,
     Sequence,
     SequenceParseError,
-    apply_hom,
     automorphisms,
     canonical_form,
-    natural_projection,
     parse_sequence,
     shift,
     sum_of,
@@ -84,26 +82,6 @@ def test_shift_matches_termwise_element_sum():
                 assert shift(h, seq) == Sequence.from_items(g, [(e + h, k) for e, k in seq.items()])
 
 
-def test_apply_hom_projection():
-    g = GroupSpec(2, 6)
-    quot, proj = natural_projection(g)
-    s = parse_sequence(g, "(1,3)^2 (0,2)")
-    assert apply_hom(proj, s) == parse_sequence(quot, "(1,1)^2 (0,0)")
-    assert apply_hom(lambda e: e, s) == s
-    assert apply_hom(proj, Sequence.empty(g), into=quot) == Sequence.empty(quot)
-
-
-def test_hom_commutes_with_sum_and_preserves_length():
-    g = GroupSpec(3, 6)
-    quot, proj = natural_projection(g)
-    rng = random.Random(11)
-    for _ in range(100):
-        s = random_sequence(rng, g, 10)
-        img = apply_hom(proj, s, into=quot)
-        assert len(img) == len(s)
-        assert sum_of(img) == proj(sum_of(s))
-
-
 def test_canonical_form():
     g = GroupSpec(2, 2)
     a = canonical_form(parse_sequence(g, "(1,0)"))
@@ -117,7 +95,8 @@ def test_canonical_form():
             c = canonical_form(s)
             assert canonical_form(c) == c
             for aut in automorphisms(grp):
-                assert canonical_form(apply_hom(aut, s)) == c
+                image = Sequence.from_items(grp, [(aut(e), k) for e, k in s.items()])
+                assert canonical_form(image) == c
 
 
 def test_multiset_helpers():
@@ -126,19 +105,10 @@ def test_multiset_helpers():
     t = parse_sequence(g, "(1,0) (0,1)")
     assert s.contains(t)
     assert not t.contains(s)
-    assert s.without(t) == parse_sequence(g, "(1,0)")
-    assert t + t == parse_sequence(g, "(1,0)^2 (0,1)^2")
-    assert t ** 3 == parse_sequence(g, "(1,0)^3 (0,1)^3")
     assert s.max_multiplicity() == 2
-    with pytest.raises(ValueError):
-        t.without(s)
 
 
 def test_text_and_json_roundtrip():
     g = GroupSpec(2, 6)
     s = parse_sequence(g, "(0,0)^3 (1,0)^3 (0,1)^3 (1,1)^3")
     assert parse_sequence(g, s.text()) == s
-    assert Sequence.from_json(s.to_json()) == s
-    d = s.to_json()
-    assert d["group"] == [2, 6]
-    assert d["terms"][0] == {"elem": [0, 0], "mult": 3}
