@@ -8,8 +8,6 @@ supporting structural lemmas.
 from .constants import SearchReport, check_direct_formulas, longest_lacking
 from .criteria import (
     Criterion,
-    SumProfile,
-    build_profile,
     formula_value,
     has_zero_sum_of_length,
     lacks,
@@ -44,7 +42,6 @@ from .search import SearchOptions, SearchOutcome, exists_lacking_subsequence, lo
 from .sequences import (
     Sequence,
     SequenceParseError,
-    canonical_form,
     parse_sequence,
     shift,
     sum_of,
@@ -67,10 +64,7 @@ __all__ = [
     "SearchReport",
     "Sequence",
     "SequenceParseError",
-    "SumProfile",
     "automorphisms",
-    "build_profile",
-    "canonical_form",
     "check_direct_formulas",
     "check_property",
     "classify",

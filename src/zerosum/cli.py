@@ -48,8 +48,12 @@ def _emit(cfg: RunConfig, text: str) -> None:
     if text and not text.endswith("\n"):
         text += "\n"
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # A file that cannot be written is a user error (exit 2), not a result.
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {cfg.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -7,8 +7,12 @@ cyclic groups):
     s_{exp(G)N}(G)    = m + 2mn - 2
     s(G)              = 2m + 2mn - 3
 
-longest_lacking() recomputes each constant by brute force as (maximum length
-of a sequence lacking the criterion) + 1 and reports the extremal sequences.
+D and s_{exp(G)N} are the cases k = 1 and k = exp(G) of s_{kN}, the
+constant that forbids zero-sums of every length divisible by k
+(Gao-Geroldinger); criteria._stepper decides both on one table of sums by
+length mod k.  longest_lacking() recomputes each constant by brute force as (maximum length
+of a sequence lacking the criterion) + 1 and reports the least extremal
+sequence.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ class SearchReport:
     lower_bound is one more than the longest lacking sequence found.  A
     complete search makes it the constant itself (computed_constant); a
     search cut short by the node budget proves only the bound, so it carries
-    no constant and no extremal examples.  extremal_examples hold sequences
-    of length computed_constant - 1 that lack the criterion; they are
+    no constant and no extremal examples.  extremal_examples holds the least
+    sequence of length computed_constant - 1 that lacks the criterion; it is
     re-validated on construction.
     """
 
@@ -79,23 +83,17 @@ def longest_lacking(
 ) -> SearchReport:
     """Compute the constant by exhaustive search.
 
-    With collect_all the report carries every extremal sequence, otherwise
-    just the least one (in multiplicity-table order, so the choice does not
-    depend on search options), taken without building the full orbit.  A
-    search cut short by the node budget reports only a lower bound (see
-    SearchReport).
+    The report carries the least extremal sequence (in multiplicity-table
+    order, so the choice does not depend on search options), taken without
+    building the full orbit; longest_lacking_search(...).sequences lists
+    them all.  A search cut short by the node budget reports only a lower
+    bound (see SearchReport).
     """
-    opts = options or SearchOptions()
     formula = formula_value(group, criterion)
     start = time.perf_counter()
-    out = longest_lacking_search(group, criterion, opts)
+    out = longest_lacking_search(group, criterion, options)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if not out.complete:
-        kept = []
-    elif opts.collect_all:
-        kept = out.sequences
-    else:
-        kept = [out.least]
+    kept = [out.least] if out.complete else []
     return SearchReport(
         group=group,
         criterion=criterion,

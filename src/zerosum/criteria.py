@@ -4,8 +4,8 @@ Decisions run on exact reachability tables over (subsequence length, sum),
 never on the 2^|S| subsets.  The per-criterion stepper (_stepper) grows one
 term at a time and keeps only the rows its criterion needs; lacks(), the
 search DFS and exists_lacking_subsequence() share one per (group, criterion)
-(_shared_stepper).  The length-indexed profile, a bounded-knapsack pass over
-the support, records every exact length; build_profile(),
+(_shared_stepper).  The length-indexed table, a bounded-knapsack pass over
+the support (_knapsack_stages), records every exact length;
 has_zero_sum_of_length() and witness() run on it.
 
 Both tables pack their rows into one integer, row l at bits
@@ -16,7 +16,6 @@ group, rebuilt with twice the rows when a caller needs more).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -77,26 +76,17 @@ def _stepper(group: GroupSpec, criterion: Criterion):
     """Per-criterion incremental state.
 
     A state's first entry is the "blocked" set: appending e creates a
-    forbidden zero-sum iff -e lies in it.  For ANY it is the whole state,
-    the sums of all subsequences.  Otherwise the second entry packs the rows
+    forbidden zero-sum iff -e lies in it.  The second entry packs the rows
     needed to maintain it into one integer, row l at bits [l*|G|, (l+1)*|G|)
     (see _bits): reachable sums by subsequence length l < exp for
-    SHORT/EXACT_EXP, by length l mod exp (nonempty) for EXP_MULTIPLE.  One
-    push translates every row with one shift_mask call.
+    SHORT/EXACT_EXP; nonempty sums by length l mod k for ANY (k = 1: every
+    length is a multiple of 1) and EXP_MULTIPLE (k = exp).  One push
+    translates every row with one shift_mask call.
     """
     tables = bit_tables(group)
     size = tables.size
     exp = group.exponent
     top = (exp - 1) * size  # bit offset of row exp-1
-
-    if criterion is Criterion.ANY:
-        parts = tables.parts
-
-        def push(state, e):
-            x = state[0]
-            return (x | shift_mask(x, parts[e]),)
-
-        return (1,), push
 
     if criterion is Criterion.EXACT_EXP:
         parts = row_parts(group, exp - 1)
@@ -131,12 +121,14 @@ def _stepper(group: GroupSpec, criterion: Criterion):
 
         return (1, 1), push
 
-    parts = row_parts(group, exp)
-    all_rows = (1 << (exp * size)) - 1
-    # The singleton e sits in row 1 mod exp; with exp == 1 the only row is
-    # also the top one and the empty subsequence blocks 0 (hence `low`).
-    row1 = (1 % exp) * size
-    low = 1 if exp == 1 else 0
+    k = 1 if criterion is Criterion.ANY else exp
+    top = (k - 1) * size  # row k-1: its sums complete a forbidden length
+    parts = row_parts(group, k)
+    all_rows = (1 << (k * size)) - 1
+    # The singleton e sits in row 1 mod k; with k == 1 the only row is also
+    # the top one and the empty subsequence blocks 0 (hence `low`).
+    row1 = (1 % k) * size
+    low = 1 if k == 1 else 0
 
     def push(state, e):
         packed = state[1]
@@ -151,25 +143,6 @@ def _stepper(group: GroupSpec, criterion: Criterion):
 def _shared_stepper(group: GroupSpec, criterion: Criterion):
     """_stepper(group, criterion), built once: states are tuples and push is pure."""
     return _stepper(group, criterion)
-
-
-@dataclass(frozen=True)
-class SumProfile:
-    """Reachability table: entry (l, g) says some length-l subsequence sums to g.
-
-    rows[l] is a bitmask over element indices; entry (0, 0) is always true
-    (the empty subsequence) and rows only ever gain entries as terms are
-    incorporated.
-    """
-
-    group: GroupSpec
-    limit: int
-    rows: tuple[int, ...]
-
-    def contains(self, length: int, elem: Element) -> bool:
-        if not 0 <= length <= self.limit:
-            raise ValueError(f"length {length} outside profile limit {self.limit}")
-        return bool((self.rows[length] >> elem.index) & 1)
 
 
 def _knapsack_stages(seq: Sequence, limit: int):
@@ -193,24 +166,6 @@ def _knapsack_stages(seq: Sequence, limit: int):
         for _ in range(mult):
             packed |= shift_mask(packed & below_top, pe) << size
         yield packed
-
-
-def _knapsack(seq: Sequence, limit: int) -> int:
-    """The packed table of _knapsack_stages after the whole sequence."""
-    for packed in _knapsack_stages(seq, limit):
-        pass
-    return packed
-
-
-def build_profile(seq: Sequence, limit: int) -> SumProfile:
-    """Exact table of (length, sum) pairs reachable by subsequences of seq."""
-    if not 0 <= limit <= len(seq):
-        raise ValueError(f"profile limit {limit} must lie in [0, |S|] = [0, {len(seq)}]")
-    packed = _knapsack(seq, limit)
-    size = seq.group.order
-    row = (1 << size) - 1
-    rows = tuple((packed >> (l * size)) & row for l in range(limit + 1))
-    return SumProfile(seq.group, limit, rows)
 
 
 def lacks(seq: Sequence, criterion: Criterion) -> bool:
@@ -237,16 +192,17 @@ def has_zero_sum_of_length(seq: Sequence, length: int) -> bool:
         return True
     if length > len(seq):
         return False
-    return bool((_knapsack(seq, length) >> (length * seq.group.order)) & 1)
+    *_, last = _knapsack_stages(seq, length)
+    return bool((last >> (length * seq.group.order)) & 1)
 
 
 def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     """One concrete forbidden zero-sum subsequence, or None when lacks() holds.
 
-    Builds the profile up to the longest forbidden length, keeping its stage
-    after each support element; the witness length is the least forbidden
-    length reachable in the last stage.  Walking the stages backwards decides
-    how many copies of each element the witness takes.
+    Builds the (length, sum) table up to the longest forbidden length,
+    keeping its stage after each support element; the witness length is the
+    least forbidden length reachable in the last stage.  Walking the stages
+    backwards decides how many copies of each element the witness takes.
     """
     lengths = criterion.forbidden_lengths(seq.group.exponent, len(seq))
     stages = list(_knapsack_stages(seq, lengths[-1] if lengths else 0))

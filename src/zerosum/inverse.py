@@ -351,7 +351,6 @@ class ExtremalEnumeration:
     kind: ExtremalKind
     sequences: list[Sequence]
     complete: bool
-    nodes: int
 
 
 def _extremal_search(group: GroupSpec, kind: ExtremalKind, options: Optional[SearchOptions]):
@@ -387,7 +386,7 @@ def enumerate_extremal(
     else:
         found = out.classes if up_to_aut else out.sequences
     seqs = [Sequence(group, c) for c in found]
-    return ExtremalEnumeration(group, kind, seqs, out.complete, out.nodes)
+    return ExtremalEnumeration(group, kind, seqs, out.complete)
 
 
 @dataclass

@@ -43,20 +43,17 @@ exactly that many.
 With workers > 1, where the platform can fork, the parent walks from the
 root down to depth _SPLIT_DEPTH and that many forked processes pull the
 subtrees below it, one at a time, until none is left (the split is nauty
-geng's res/mod idea, McKay and Piperno 2014, with subtrees pulled on demand).
-A split search that does not complete within the budget is walked again in
-one process, so every output, incomplete runs included, is the same as with
-one worker.
+geng's res/mod idea, McKay and Piperno 2014, with subtrees pulled on demand);
+only a search with workers > 1 imports multiprocessing.  A split search
+that does not complete within the budget is walked again in one process, so
+every output, incomplete runs included, is the same as with one worker.
 """
 
 from __future__ import annotations
 
 import math
-import traceback
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from multiprocessing import get_all_start_methods, get_context
-from multiprocessing.connection import wait
 from operator import itemgetter
 from typing import Optional
 
@@ -97,16 +94,12 @@ class SearchOptions:
     that many processes, which pull the subtrees below depth 4 until none
     is left; every output is the same as with one worker.  Where the
     platform cannot fork, the search runs in one process.
-    collect_all is read only by constants.longest_lacking: it makes the
-    report carry every extremal sequence (the full orbit) instead of the
-    least one (SearchOutcome.least).
 
     Construction raises ValueError on workers < 1 or node_budget < 0.  This
     is the only check of the two, and the CLI builds its options before it
     runs a command, so every command rejects them.
     """
 
-    collect_all: bool = False
     aut_pruning: bool = True
     shift_normalize: bool = True
     workers: int = 1
@@ -452,12 +445,23 @@ def _forked_search(root, workers, group, criterion, prune, budget, cap):
     return _run_subtree(group, criterion, root, prune, budget, cap)
 
 
+def _can_fork() -> bool:
+    # multiprocessing is imported only here and in _run_forked: a search
+    # with one worker never loads it.
+    from multiprocessing import get_all_start_methods
+
+    return "fork" in get_all_start_methods()
+
+
 def _run_forked(tasks, workers):
     """[_run_subtree(*t) for t in tasks], run by up to `workers` forked
     processes that each take the next task not yet taken until none is
     left, then send their results in one message.  A worker that fails or
     exits without sending makes this raise; every worker is joined before
     it returns."""
+    from multiprocessing import get_context
+    from multiprocessing.connection import wait
+
     mp = get_context("fork")
     results = [None] * len(tasks)
     taken = mp.Value("q", 0)
@@ -509,6 +513,8 @@ def _worker(tasks, taken, conn):
             done.append((i, _run_subtree(*tasks[i])))
         conn.send((True, done))
     except Exception:
+        import traceback
+
         conn.send((False, traceback.format_exc()))
     finally:
         conn.close()
@@ -540,7 +546,7 @@ def longest_lacking_search(
         # node below the root sees these blocks.
         state0 = (state0[0] | (bit_tables(group).full_mask ^ 1), state0[1])
     root = ((0,) * group.order, state0, 0)
-    if opts.workers > 1 and "fork" in get_all_start_methods():
+    if opts.workers > 1 and _can_fork():
         found = _forked_search(root, opts.workers, group, criterion, prune, budget, cap)
     else:  # one worker, or a platform that cannot fork
         found = _run_subtree(group, criterion, root, prune, budget, cap)

@@ -1,4 +1,4 @@
-"""Multiset sequences over a group: parsing, sums, shifts, canonical forms."""
+"""Multiset sequences over a group: parsing, sums, shifts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ._bits import add_table, bit_tables
-from .groups import Element, GroupSpec, least_image
+from .groups import Element, GroupSpec
 
 
 class SequenceParseError(ValueError):
@@ -139,8 +139,3 @@ def shift(h: Element, seq: Sequence) -> Sequence:
     row = add_table(seq.group)[bit_tables(seq.group).neg[h.index]]
     return Sequence(seq.group, tuple(map(seq.counts.__getitem__, row)))
 
-
-def canonical_form(seq: Sequence) -> Sequence:
-    """Least multiplicity table over the automorphism orbit of the sequence
-    (groups.least_image, as SearchOutcome.least uses it)."""
-    return Sequence(seq.group, least_image(seq.counts, seq.group))

@@ -28,13 +28,13 @@ from zerosum import (
     construct,
     enumerate_extremal,
     lacks,
-    longest_lacking,
     order_of,
     reproduce_exp_minus_1,
     verify_lemma,
     verify_shift_lemma,
 )
 from zerosum.inverse import _generating_pairs, _ordered_bases, _units
+from zerosum.search import longest_lacking_search
 
 RANK2_GROUPS = [(2, 2), (3, 3), (2, 4), (2, 6), (3, 6), (4, 4)]
 CYCLIC_MAX = 7
@@ -67,17 +67,19 @@ def test_criterion_2_cyclic_inverse():
     bad = []
     for n in range(1, 9):
         group = GroupSpec.cyclic(n)
-        opts = SearchOptions(collect_all=True)
         generators = [e for e in group.elements() if order_of(e) == n]
 
-        got_any = set(longest_lacking(group, Criterion.ANY, opts).extremal_examples)
+        def extremals(crit):
+            return {Sequence(group, c) for c in longest_lacking_search(group, crit).sequences}
+
+        got_any = extremals(Criterion.ANY)
         want_any = {Sequence.from_items(group, [(e, n - 1)]) for e in generators}
         if got_any != want_any:
             bad.append((n, "zero-sum free"))
         if len(want_any) != len(generators):  # phi(n) many
             bad.append((n, "generator count"))
 
-        got_s = set(longest_lacking(group, Criterion.EXACT_EXP, opts).extremal_examples)
+        got_s = extremals(Criterion.EXACT_EXP)
         want_s = {
             Sequence.from_items(group, [(g, n - 1), (g + e, n - 1)])
             for e in generators
@@ -264,11 +266,10 @@ def _criteria_1_2_payload(workers: int, pruning: bool) -> bytes:
     for n in range(1, CYCLIC_MAX + 1):
         _, reports = check_direct_formulas(GroupSpec.cyclic(n), opts)
         payload.append([r.to_json(include_volatile=False) for r in reports])
-    cyc_opts = SearchOptions(workers=workers, aut_pruning=pruning, collect_all=True)
     for n in range(1, 9):
         for crit in (Criterion.ANY, Criterion.EXACT_EXP):
-            payload.append(longest_lacking(GroupSpec.cyclic(n), crit, cyc_opts)
-                           .to_json(include_volatile=False))
+            out = longest_lacking_search(GroupSpec.cyclic(n), crit, opts)
+            payload.append([out.max_length, out.complete, out.sequences])
     return json.dumps(payload, sort_keys=True).encode()
 
 

@@ -221,6 +221,23 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(path.read_text())["computed"] == 3
 
 
+def test_output_under_a_missing_directory_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["constants", "--group", "2,2", "--which", "D", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {path}")
+    assert captured.out == "" and not path.exists()
+
+
+def test_output_to_a_directory_is_a_user_error(tmp_path, capsys):
+    code = main(["constants", "--group", "2,2", "--which", "D", "--output", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {tmp_path}")
+    assert captured.out == ""
+
+
 def test_workers_flag(capsys):
     code, out = run(capsys, "constants", "--group", "2,4", "--which", "s", "--workers", "2")
     assert code == 0

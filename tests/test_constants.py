@@ -26,24 +26,30 @@ def test_formula_examples():
     assert formula_value(GroupSpec(2, 4), Criterion.EXP_MULTIPLE) == 8
 
 
+def _all_extremals(group, crit, options=None):
+    """(constant, every extremal sequence) of one search."""
+    out = longest_lacking_search(group, crit, options)
+    return out.max_length + 1, [Sequence(group, c) for c in out.sequences]
+
+
 def test_longest_lacking_c2c2_short():
-    r = longest_lacking(GroupSpec(2, 2), Criterion.SHORT, SearchOptions(collect_all=True))
-    assert r.computed_constant == 4
-    assert r.extremal_examples == [parse_sequence(GroupSpec(2, 2), "(1,0) (0,1) (1,1)")]
+    constant, extremals = _all_extremals(GroupSpec(2, 2), Criterion.SHORT)
+    assert constant == 4
+    assert extremals == [parse_sequence(GroupSpec(2, 2), "(1,0) (0,1) (1,1)")]
 
 
 def test_longest_lacking_c2c2_exact():
-    r = longest_lacking(GroupSpec(2, 2), Criterion.EXACT_EXP, SearchOptions(collect_all=True))
-    assert r.computed_constant == 5
-    assert r.extremal_examples == [parse_sequence(GroupSpec(2, 2), "(0,0) (1,0) (0,1) (1,1)")]
+    constant, extremals = _all_extremals(GroupSpec(2, 2), Criterion.EXACT_EXP)
+    assert constant == 5
+    assert extremals == [parse_sequence(GroupSpec(2, 2), "(0,0) (1,0) (0,1) (1,1)")]
 
 
 def test_longest_lacking_cyclic5_any():
     c5 = GroupSpec.cyclic(5)
-    r = longest_lacking(c5, Criterion.ANY, SearchOptions(collect_all=True))
-    assert r.computed_constant == 5
+    constant, extremals = _all_extremals(c5, Criterion.ANY)
+    assert constant == 5
     expected = {parse_sequence(c5, f"(0,{e})^4") for e in range(1, 5)}
-    assert set(r.extremal_examples) == expected
+    assert set(extremals) == expected
 
 
 def test_check_direct_formulas_examples():
@@ -63,7 +69,7 @@ def test_results_independent_of_options():
     for group in [GroupSpec(2, 4), GroupSpec(3, 3)]:
         for crit in Criterion:
             reports = [
-                longest_lacking(group, crit, SearchOptions(collect_all=True, **kw))
+                _all_extremals(group, crit, SearchOptions(**kw))
                 for kw in (
                     {},
                     {"aut_pruning": False},
@@ -73,8 +79,8 @@ def test_results_independent_of_options():
             ]
             base = reports[0]
             for r in reports[1:]:
-                assert r.computed_constant == base.computed_constant
-                assert r.extremal_examples == base.extremal_examples
+                assert r[0] == base[0]
+                assert r[1] == base[1]
 
 
 def test_unreduced_search_visits_exactly_the_lacking_downset():
@@ -82,8 +88,6 @@ def test_unreduced_search_visits_exactly_the_lacking_downset():
     # counted independently by subset enumeration (lacks() shares the DFS's
     # stepper, so it would not be an independent count)
     from itertools import combinations_with_replacement
-
-    from zerosum.search import longest_lacking_search
 
     cases = [(GroupSpec(2, 4), Criterion.SHORT), (GroupSpec.cyclic(5), Criterion.EXACT_EXP)]
     for group, crit in cases:
@@ -121,9 +125,9 @@ def test_exists_lacking_subsequence_matches_brute_force():
 def test_extremal_maximality():
     for group in [GroupSpec(2, 2), GroupSpec(2, 4)]:
         for crit in Criterion:
-            r = longest_lacking(group, crit, SearchOptions(collect_all=True))
-            assert r.extremal_examples
-            for ex in r.extremal_examples:
+            _, extremals = _all_extremals(group, crit)
+            assert extremals
+            for ex in extremals:
                 assert lacks(ex, crit)
                 for g in group.elements():
                     assert not lacks(ex.with_term(g), crit)
@@ -131,23 +135,27 @@ def test_extremal_maximality():
 
 def test_single_example_is_least_of_full_set():
     group = GroupSpec(2, 6)
-    full = longest_lacking(group, Criterion.EXACT_EXP, SearchOptions(collect_all=True))
-    one = longest_lacking(group, Criterion.EXACT_EXP, SearchOptions(collect_all=False))
-    assert one.extremal_examples == full.extremal_examples[:1]
+    _, full = _all_extremals(group, Criterion.EXACT_EXP)
+    one = longest_lacking(group, Criterion.EXACT_EXP)
+    assert one.extremal_examples == full[:1]
 
 
 @pytest.mark.parametrize("n1,n2", [(3, 3), (2, 6), (4, 4)])
 def test_single_example_never_builds_the_orbit(monkeypatch, n1, n2):
-    # collect_all=True reports the whole sorted orbit, which equals the
-    # unreduced search's maximal set; without it the report holds the first
-    # of those and must not build the orbit at all.
-    from zerosum.search import SearchOutcome, longest_lacking_search
+    # The reduced search's whole sorted orbit equals the unreduced search's
+    # maximal set; the report holds the first of those and must not build
+    # the orbit at all.
+    from zerosum.search import SearchOutcome
 
     group = GroupSpec(n1, n2)
     full = {}
     for crit in Criterion:
-        report = longest_lacking(group, crit, SearchOptions(collect_all=True))
-        full[crit] = report.to_json(include_volatile=False)
+        constant, extremals = _all_extremals(group, crit)
+        full[crit] = {
+            "group": str(group), "criterion": crit.value, "computed": constant,
+            "formula": formula_value(group, crit), "complete": True,
+            "extremals": [s.text() for s in extremals],
+        }
         unreduced = longest_lacking_search(
             group, crit, SearchOptions(aut_pruning=False, shift_normalize=False)
         )

@@ -6,7 +6,6 @@ from zerosum import (
     Criterion,
     GroupSpec,
     Sequence,
-    build_profile,
     has_zero_sum_of_length,
     lacks,
     parse_sequence,
@@ -20,53 +19,6 @@ from zerosum.criteria import _knapsack_stages, _stepper
 from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
 
 ORACLE_GROUPS = [GroupSpec(2, 2), GroupSpec(1, 5), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 12)]
-
-
-def test_profile_trivial():
-    g = GroupSpec(2, 4)
-    p = build_profile(Sequence.empty(g), 0)
-    assert p.contains(0, g.zero)
-    assert not any(p.contains(0, e) for e in g.elements() if not e.is_zero())
-
-    c3 = GroupSpec.cyclic(3)
-    p = build_profile(parse_sequence(c3, "(0,1)^2"), 2)
-    truth = {(0, c3.zero), (1, c3.element(0, 1)), (2, c3.element(0, 2))}
-    got = {(l, e) for l in range(3) for e in c3.elements() if p.contains(l, e)}
-    assert got == truth
-
-
-def test_profile_limit_validation():
-    g = GroupSpec(2, 2)
-    s = parse_sequence(g, "(1,0)")
-    with pytest.raises(ValueError):
-        build_profile(s, 2)
-    with pytest.raises(ValueError):
-        build_profile(s, -1)
-
-
-def test_profile_against_subset_oracle():
-    from conftest import subset_reach
-
-    rng = random.Random(23)
-    for _ in range(150):
-        g = rng.choice(ORACLE_GROUPS)
-        s = random_sequence(rng, g, 9)
-        p = build_profile(s, len(s))
-        reach = subset_reach(s)
-        for l in range(len(s) + 1):
-            for e in g.elements():
-                assert p.contains(l, e) == ((l, e.a, e.b) in reach)
-
-
-def test_profile_monotone_under_appending():
-    rng = random.Random(19)
-    g = GroupSpec(2, 4)
-    for _ in range(40):
-        s = random_sequence(rng, g, 8)
-        bigger = s.with_term(rng.choice(list(g.elements())))
-        p, q = build_profile(s, len(s)), build_profile(bigger, len(s))
-        for l in range(len(s) + 1):
-            assert p.rows[l] & ~q.rows[l] == 0  # true entries never become false
 
 
 def _unpack(packed: int, size: int, rows: int) -> list[int]:
@@ -120,7 +72,11 @@ def test_packed_rows_match_subset_reach(n1, n2):
                 if blocks[c](l):
                     blocked |= x
             assert states[c][0] == blocked, (k, c)
-        assert len(states[Criterion.ANY]) == 1  # ANY's blocked set is its whole state
+        # ANY's one row: every nonempty sum (lengths mod 1, as EXP_MULTIPLE's mod exp).
+        nonempty = 0
+        for x in by_len[1:]:
+            nonempty |= x
+        assert _unpack(states[Criterion.ANY][1], size, 1) == [nonempty]
         short = (by_len + [0] * exp)[:exp]
         assert _unpack(states[Criterion.SHORT][1], size, exp) == short
         assert _unpack(states[Criterion.EXACT_EXP][1], size, exp) == short
@@ -133,7 +89,6 @@ def test_packed_rows_match_subset_reach(n1, n2):
         for limit in {0, min(exp, k), k}:
             *_, last = _knapsack_stages(seq, limit)
             assert _unpack(last, size, limit + 1) == by_len[:limit + 1], (k, limit)
-            assert build_profile(seq, limit).rows == tuple(by_len[:limit + 1])
     assert _bits._ROW_PARTS[group][0] > rows_at_start
 
     # Every stage of the whole sequence: support elements in index order.

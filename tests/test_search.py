@@ -14,12 +14,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import zerosum.search as search
-from zerosum import Criterion, GroupSpec, Sequence, SearchOptions, canonical_form, longest_lacking
+from zerosum import Criterion, GroupSpec, Sequence, SearchOptions
 from zerosum._bits import shift_getters
 from zerosum.groups import aut_getters, aut_match_count, aut_permutations, least_image
 from zerosum.search import (
@@ -125,7 +128,7 @@ def test_getters_and_canonical_form_match_plain_images(n1, n2):
         assert {t, *(g(t) for g in shift_getters(group))} == {
             translate(group, t, h) for h in range(group.order)
         }
-        assert canonical_form(Sequence(group, t)).counts == min(aut_orbit)
+        assert least_image(t, group) == min(aut_orbit)
 
     # least_image, and with a bound None exactly when the least image is >=
     # it: bounds equal to it, to the table, to the last table's least image,
@@ -284,17 +287,17 @@ def test_pruning_is_off_beyond_the_automorphism_enumerator(kw):
 
 def test_workers_fall_back_to_serial_without_fork(monkeypatch):
     group = GroupSpec(3, 3)
-    serial = [longest_lacking(group, c, SearchOptions(collect_all=True)) for c in Criterion]
+    serial = [longest_lacking_search(group, c) for c in Criterion]
 
-    def no_pool(method):
-        raise AssertionError(f"pool context {method!r} requested")
+    def no_pool(tasks, workers):
+        raise AssertionError("forked workers requested")
 
-    monkeypatch.setattr(search, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(search, "get_context", no_pool)
-    pooled = [longest_lacking(group, c, SearchOptions(collect_all=True, workers=2)) for c in Criterion]
+    monkeypatch.setattr(search, "_can_fork", lambda: False)
+    monkeypatch.setattr(search, "_run_forked", no_pool)
+    pooled = [longest_lacking_search(group, c, SearchOptions(workers=2)) for c in Criterion]
     for a, b in zip(serial, pooled):
-        assert b.to_json(include_volatile=False) == a.to_json(include_volatile=False)
-        assert b.nodes_visited == a.nodes_visited
+        assert (b.max_length, b.sequences, b.complete) == (a.max_length, a.sequences, a.complete)
+        assert b.nodes == a.nodes
 
 
 @pytest.mark.parametrize("n1,n2", [(3, 6), (2, 8)])
@@ -346,3 +349,18 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, runner, message):
     with pytest.raises(RuntimeError, match=message):
         longest_lacking_search(GroupSpec(2, 8), Criterion.EXACT_EXP, SearchOptions(workers=2))
     assert multiprocessing.active_children() == []
+
+
+def test_one_worker_search_never_imports_multiprocessing():
+    # Forked workers load multiprocessing on demand: a fresh process that
+    # imports zerosum and runs a one-worker search never loads it.
+    src = str(Path(search.__file__).resolve().parents[1])
+    code = (
+        "import sys, zerosum as z\n"
+        "z.longest_lacking(z.GroupSpec(2, 4), z.Criterion.EXACT_EXP)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,11 +7,11 @@ from zerosum import (
     Sequence,
     SequenceParseError,
     automorphisms,
-    canonical_form,
     parse_sequence,
     shift,
     sum_of,
 )
+from zerosum.groups import least_image
 from conftest import ORACLE_GROUPS_16, random_sequence
 
 
@@ -80,6 +80,11 @@ def test_shift_matches_termwise_element_sum():
             assert seq.max_multiplicity() > exp
             for h in elems:
                 assert shift(h, seq) == Sequence.from_items(g, [(e + h, k) for e, k in seq.items()])
+
+
+def canonical_form(seq):
+    """The least table of seq's automorphism orbit, as a sequence."""
+    return Sequence(seq.group, least_image(seq.counts, seq.group))
 
 
 def test_canonical_form():
