@@ -15,7 +15,6 @@ from .criteria import (
     witness,
 )
 from .groups import (
-    Automorphism,
     Element,
     GroupSpec,
     automorphisms,
@@ -25,7 +24,6 @@ from .groups import (
 )
 from .inverse import (
     CheckResult,
-    ClassifyMatch,
     ExtremalEnumeration,
     ExtremalForm,
     ExtremalKind,
@@ -48,9 +46,7 @@ from .sequences import (
 )
 
 __all__ = [
-    "Automorphism",
     "CheckResult",
-    "ClassifyMatch",
     "Criterion",
     "Element",
     "ExtremalEnumeration",

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .constants import check_direct_formulas, longest_lacking
@@ -36,24 +35,21 @@ EXIT_USER_ERROR = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    fmt: str
-    options: SearchOptions
-    output: Optional[str]
+def _write(path: str, text: str, mode: str = "w") -> None:
+    # A file that cannot be written is a user error (exit 2), not a result.
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args, text: str) -> None:
     # An empty output stays empty: a lone newline would be a blank JSON line.
     if text and not text.endswith("\n"):
         text += "\n"
-    if cfg.output:
-        # A file that cannot be written is a user error (exit 2), not a result.
-        try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {cfg.output}: {exc.strerror}") from exc
+    if args.output:
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -78,24 +74,24 @@ def _constant_line(r) -> str:
     return f"{name} = {r.computed_constant} (formula {r.formula_constant}) {verdict}"
 
 
-def _cmd_constants(args, cfg: RunConfig) -> int:
+def _cmd_constants(args, opts: SearchOptions) -> int:
     group = GroupSpec.parse(args.group)
     if args.which == "all":
-        _, reports = check_direct_formulas(group, cfg.options)
+        _, reports = check_direct_formulas(group, opts)
     else:
-        reports = [longest_lacking(group, Criterion.from_name(args.which), cfg.options)]
+        reports = [longest_lacking(group, Criterion.from_name(args.which), opts)]
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = [r.to_json() for r in reports]
-        _emit(cfg, _dump_json(payload[0] if len(payload) == 1 else payload))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv_text(
+        _emit(args, _dump_json(payload[0] if len(payload) == 1 else payload))
+    elif args.format == "csv":
+        _emit(args, _csv_text(
             ["group", "criterion", "computed", "formula", "complete", "nodes", "ms"],
             [[str(r.group), r.criterion.value, r.computed_constant, r.formula_constant,
               r.complete, r.nodes_visited, round(r.elapsed_ms, 3)] for r in reports],
         ))
     else:
-        _emit(cfg, "\n".join(_constant_line(r) for r in reports))
+        _emit(args, "\n".join(_constant_line(r) for r in reports))
 
     if any(not r.complete for r in reports):
         return EXIT_BUDGET
@@ -104,13 +100,13 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_extremal(args, cfg: RunConfig) -> int:
+def _cmd_extremal(args, opts: SearchOptions) -> int:
     group = GroupSpec.parse(args.group)
     if group.rank != 2:
         raise ValueError("extremal enumeration needs a rank-2 group")
     kind = ExtremalKind(args.kind)
     enum = enumerate_extremal(group, kind, up_to_aut=args.up_to_aut,
-                              options=cfg.options)
+                              options=opts)
     records = []
     any_unmatched = False
     for seq in enum.sequences:
@@ -121,10 +117,10 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
             any_unmatched = any_unmatched or not matches
         records.append(rec)
 
-    if cfg.fmt == "json":
-        _emit(cfg, "\n".join(_dump_json(r) for r in records) if records else "")
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv_text(
+    if args.format == "json":
+        _emit(args, "\n".join(_dump_json(r) for r in records) if records else "")
+    elif args.format == "csv":
+        _emit(args, _csv_text(
             ["group", "kind", "sequence", "length", "match_count"],
             [[r["group"], r["kind"], r["sequence"], r["length"],
               len(r.get("matches", []))] for r in records],
@@ -136,7 +132,7 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
             if args.classify:
                 suffix = f"  [{len(r['matches'])} match(es)]"
             lines.append(f"{r['sequence']}{suffix}")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
 
     if not enum.complete:
         return EXIT_BUDGET
@@ -145,12 +141,12 @@ def _cmd_extremal(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, cfg: RunConfig) -> int:
+def _cmd_check(args, opts: SearchOptions) -> int:
     target = args.target
     if target in ("property-C", "property-D"):
         if args.m is None:
             raise ValueError(f"{target} needs --m")
-        result = check_property(args.m, target[-1], cfg.options)
+        result = check_property(args.m, target[-1], opts)
     elif target == "noshort":
         if args.m is None:
             raise ValueError("noshort needs --m")
@@ -162,18 +158,18 @@ def _cmd_check(args, cfg: RunConfig) -> int:
     else:  # invcyc
         if args.n is None:
             raise ValueError("invcyc needs --n")
-        result = verify_lemma(LemmaName.INVCYC, n=args.n, options=cfg.options)
+        result = verify_lemma(LemmaName.INVCYC, n=args.n, options=opts)
 
-    if cfg.fmt == "json":
-        _emit(cfg, _dump_json(result.to_json()))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv_text(
+    if args.format == "json":
+        _emit(args, _dump_json(result.to_json()))
+    elif args.format == "csv":
+        _emit(args, _csv_text(
             ["check", "params", "status", "counterexamples"],
             [[result.name, _dump_json(result.params), result.status,
               len(result.counterexamples)]],
         ))
     else:
-        _emit(cfg, f"{result.name} {result.params}: {result.status}"
+        _emit(args, f"{result.name} {result.params}: {result.status}"
               + (f" ({len(result.counterexamples)} counterexample(s))"
                  if result.counterexamples else ""))
 
@@ -182,54 +178,54 @@ def _cmd_check(args, cfg: RunConfig) -> int:
     ]
 
 
-def _cmd_reproduce(args, cfg: RunConfig) -> int:
+def _cmd_reproduce(args, opts: SearchOptions) -> int:
     seq, report = reproduce_exp_minus_1(args.m, args.n)
     report = dict(report)
     report["sequence"] = seq.text()
-    if cfg.fmt == "json":
-        _emit(cfg, _dump_json(report))
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        _emit(args, _dump_json(report))
+    elif args.format == "csv":
         keys = sorted(report)
-        _emit(cfg, _csv_text(keys, [[report[k] for k in keys]]))
+        _emit(args, _csv_text(keys, [[report[k] for k in keys]]))
     else:
         facts = (
             f"length {report['length']} (expected {report['expected_length']}), "
             f"lacks length-exp zero-sum: {report['lacks_exact_exp']}, "
             f"max multiplicity {report['max_multiplicity']} < {report['exp_minus_1']}"
         )
-        _emit(cfg, f"{report['sequence']}\n{facts}")
+        _emit(args, f"{report['sequence']}\n{facts}")
     return EXIT_OK if report["ok"] else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_classify(args, cfg: RunConfig) -> int:
+def _cmd_classify(args, opts: SearchOptions) -> int:
     group = GroupSpec.parse(args.group)
     seq = parse_sequence(group, args.seq)
     matches = classify(seq)
-    if cfg.fmt == "json":
-        _emit(cfg, _dump_json({
+    if args.format == "json":
+        _emit(args, _dump_json({
             "group": str(group),
             "sequence": seq.text(),
             "matches": [m.to_json() for m in matches],
         }))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         rows = []
         for m in matches:
             d = m.to_json()
             rows.append([d["form"], d["e1"], d["e2"], d.get("x", ""), d.get("s", ""),
                          d.get("t", ""), d.get("g", "")])
-        _emit(cfg, _csv_text(["form", "e1", "e2", "x", "s", "t", "g"], rows))
+        _emit(args, _csv_text(["form", "e1", "e2", "x", "s", "t", "g"], rows))
     else:
         if matches:
-            _emit(cfg, "\n".join(_dump_json(m.to_json()) for m in matches))
+            _emit(args, "\n".join(_dump_json(m.to_json()) for m in matches))
         else:
-            _emit(cfg, "no match")
+            _emit(args, "no match")
     return EXIT_OK if matches else EXIT_COUNTEREXAMPLE
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help=f"node budget per search (default: {DEFAULT_NODE_BUDGET:,})")
     p.add_argument("--prune", choices=["on", "off"], default="on",
                    help="automorphism orbit pruning, on wherever Aut(G) can be enumerated "
@@ -292,8 +288,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # --workers or --budget, also for the commands that run no search.
         opts = SearchOptions(aut_pruning=args.prune == "on", workers=args.workers,
                              node_budget=args.budget)
-        cfg = RunConfig(fmt=args.format, options=opts, output=args.output)
-        return args.func(args, cfg)
+        if args.output:
+            # Appending nothing checks that the file can be written, before
+            # the search and without truncating it.
+            _write(args.output, "", "a")
+        return args.func(args, opts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

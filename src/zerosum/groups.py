@@ -213,28 +213,17 @@ def is_basis_pair(g1: Element, g2: Element) -> bool:
     return is_generating_pair(g1, g2) and order_of(g1) * order_of(g2) == g1.group.order
 
 
-@dataclass(frozen=True, order=True)
-class Automorphism:
-    """A group automorphism, stored as the images of (1,0) and (0,1)."""
-
-    group: GroupSpec
-    img1: Element
-    img2: Element
-
-    def __call__(self, e: Element) -> Element:
-        if e.group != self.group:
-            raise ValueError("element does not belong to this automorphism's group")
-        return e.a * self.img1 + e.b * self.img2
-
-
 @lru_cache(maxsize=None)
-def automorphisms(group: GroupSpec) -> tuple[Automorphism, ...]:
-    """The full automorphism group, ordered lexicographically by generator images.
+def automorphisms(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The full automorphism group as permutations of element indices,
+    ordered lexicographically by generator images.
 
     An automorphism is a pair of images (img1, img2) of (1,0) and (0,1) that
     is well defined, n1*img1 = 0 (n2*img2 = 0 holds automatically), and
     bijective, which holds iff the images generate the group (generates).
     So img1 = (a1, b1) runs over b1 in multiples of n2/n1, img2 over G.
+    Permutation p maps index i to the index of the image of element i
+    (image_indices), so in rank two img1 has index p[n2] and img2 p[1].
     """
     if group.order > AUT_ENUMERATION_MAX_ORDER:
         raise ValueError(
@@ -243,17 +232,11 @@ def automorphisms(group: GroupSpec) -> tuple[Automorphism, ...]:
         )
     elems = tuple(group.elements())
     return tuple(
-        Automorphism(group, img1, img2)
+        image_indices(group, img1.a, img1.b, img2.a, img2.b)
         for img1 in elems[:: group.n]
         for img2 in elems
         if generates(group, img1.a, img1.b, img2.a, img2.b)
     )
-
-
-@lru_cache(maxsize=None)
-def element_permutation(aut: Automorphism) -> tuple[int, ...]:
-    """The automorphism as a permutation of element indices."""
-    return image_indices(aut.group, aut.img1.a, aut.img1.b, aut.img2.a, aut.img2.b)
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +247,7 @@ def aut_permutations(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
     also runs over their inverses.
     """
     identity = tuple(range(group.order))
-    return tuple(p for p in map(element_permutation, automorphisms(group)) if p != identity)
+    return tuple(p for p in automorphisms(group) if p != identity)
 
 
 @lru_cache(maxsize=None)

@@ -102,35 +102,21 @@ class ExtremalForm:
             self.g.index if self.g is not None else -1,
         )
 
-
-@dataclass(frozen=True)
-class ClassifyMatch:
-    """A form that reproduces a classified sequence.
-
-    x_normalized records whether the optional normalization x <= m/2 holds
-    (vacuously true for the B forms); ord_g1 is kept as metadata since the
-    families do not constrain the order of the first pair element.
-    """
-
-    form: ExtremalForm
-    x_normalized: bool
-    ord_g1: int
-
     def to_json(self) -> dict:
-        f = self.form
+        """The tag and the parameters, without those the family does not use."""
         out = {
-            "form": f.tag.value,
-            "e1": [f.e1.a, f.e1.b],
-            "e2": [f.e2.a, f.e2.b],
+            "form": self.tag.value,
+            "e1": [self.e1.a, self.e1.b],
+            "e2": [self.e2.a, self.e2.b],
         }
-        if f.x is not None:
-            out["x"] = f.x
-        if f.s is not None:
-            out["s"] = f.s
-        if f.t is not None:
-            out["t"] = f.t
-        if f.g is not None:
-            out["g"] = [f.g.a, f.g.b]
+        if self.x is not None:
+            out["x"] = self.x
+        if self.s is not None:
+            out["s"] = self.s
+        if self.t is not None:
+            out["t"] = self.t
+        if self.g is not None:
+            out["g"] = [self.g.a, self.g.b]
         return out
 
 
@@ -206,13 +192,16 @@ def construct(form: ExtremalForm) -> Sequence:
 
 @lru_cache(maxsize=None)
 def _ordered_bases(group: GroupSpec) -> tuple[tuple[Element, Element], ...]:
-    """Every ordered basis (e1, e2) with ord(e2) = exp(G).
+    """Every ordered basis (e1, e2) with ord(e2) = exp(G), in index order.
 
     These are exactly the automorphism images of the standard basis: in
-    C_m + C_mn a basis with ord(e2) = mn forces ord(e1) = m.
+    C_m + C_mn a basis with ord(e2) = mn forces ord(e1) = m.  The images of
+    (1,0) and (0,1) have indices p[n2] and p[1], and automorphisms() lists
+    them in index order.
     """
-    pairs = [(a.img1, a.img2) for a in automorphisms(group)]
-    return tuple(sorted(pairs, key=lambda p: (p[0].index, p[1].index)))
+    return tuple(
+        (group.element_at(p[group.n2]), group.element_at(p[1])) for p in automorphisms(group)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -234,16 +223,13 @@ def _units(m: int) -> tuple[int, ...]:
 def _index_tables(group: GroupSpec) -> tuple:
     """Element-index arithmetic for classify(), built once per group.
 
-    (elements, orders, add, neg, scaled, bases, generating): elements[i]
-    has index i and order orders[i]; add[i][j] and neg[i] index e_i + e_j
-    and -e_i; scaled holds, per unit x, the pair (x, index of x*e_i over i);
-    bases and generating are _ordered_bases and _generating_pairs as sets of
-    index pairs.
+    (elements, add, neg, scaled, bases, generating): elements[i] has index
+    i; add[i][j] and neg[i] index e_i + e_j and -e_i; scaled holds, per unit
+    x, the pair (x, index of x*e_i over i); bases and generating are
+    _ordered_bases and _generating_pairs as sets of index pairs.
     """
-    elements = tuple(group.elements())
     return (
-        elements,
-        tuple(map(order_of, elements)),
+        tuple(group.elements()),
         add_table(group),
         bit_tables(group).neg,
         tuple((x, image_indices(group, x, 0, 0, x)) for x in _units(group.m)),
@@ -252,7 +238,7 @@ def _index_tables(group: GroupSpec) -> tuple:
     )
 
 
-def classify(seq: Sequence) -> list[ClassifyMatch]:
+def classify(seq: Sequence) -> list[ExtremalForm]:
     """Every parameterization whose construct() equals the sequence.
 
     Scans only the sequence's own support, which is exact: every element a
@@ -280,7 +266,7 @@ def classify(seq: Sequence) -> list[ClassifyMatch]:
     is_eta = total == eta_len
     if len(supp) != (3 if is_eta else 4):
         return []
-    elem, orders, add, neg, scaled, bases, generating = _index_tables(grp)
+    elem, add, neg, scaled, bases, generating = _index_tables(grp)
     forms: list[ExtremalForm] = []
 
     def param_s(count: int) -> Optional[int]:
@@ -335,14 +321,7 @@ def classify(seq: Sequence) -> list[ClassifyMatch]:
                     forms.append(ExtremalForm(FormTag.S_B, elem[e1], elem[e2], g=elem[g]))
 
     forms.sort(key=ExtremalForm.sort_key)
-    return [
-        ClassifyMatch(
-            form=f,
-            x_normalized=(2 * f.x <= m) if f.x is not None else True,
-            ord_g1=orders[f.e1.index],
-        )
-        for f in forms
-    ]
+    return forms
 
 
 @dataclass
@@ -479,7 +458,7 @@ def _check_noshort(m: int) -> CheckResult:
     if m < 2:
         raise ValueError("noshort needs m >= 2")
     group = GroupSpec(m, m)
-    _, _, add, neg, scaled, bases, _ = _index_tables(group)
+    _, add, neg, scaled, bases, _ = _index_tables(group)
     scaled = [(x, times) for x, times in scaled if 2 * x <= m]
     x_values: set[int] = set()
     passing = 0

@@ -88,12 +88,12 @@ class SearchOptions:
     sound, False turns it off: pruning needs Aut(G) enumerated, i.e. group
     order <= AUT_ENUMERATION_MAX_ORDER (512), and translation normalization
     needs an exp-length criterion (EXACT_EXP, EXP_MULTIPLE); elsewhere the
-    search runs without it.  node_budget caps the nodes one search visits
-    (None: DEFAULT_NODE_BUDGET); a search cut short visits exactly that
-    many, so a budget of 0 visits not even the root.  workers > 1 forks
-    that many processes, which pull the subtrees below depth 4 until none
-    is left; every output is the same as with one worker.  Where the
-    platform cannot fork, the search runs in one process.
+    search runs without it.  node_budget caps the nodes one search visits;
+    a search cut short visits exactly that many, so a budget of 0 visits
+    not even the root.  workers > 1 forks that many processes, which pull
+    the subtrees below depth 4 until none is left; every output is the same
+    as with one worker.  Where the platform cannot fork, the search runs in
+    one process.
 
     Construction raises ValueError on workers < 1 or node_budget < 0.  This
     is the only check of the two, and the CLI builds its options before it
@@ -103,12 +103,12 @@ class SearchOptions:
     aut_pruning: bool = True
     shift_normalize: bool = True
     workers: int = 1
-    node_budget: Optional[int] = None
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.node_budget is not None and self.node_budget < 0:
+        if self.node_budget < 0:
             raise ValueError("node budget must be >= 0")
 
 
@@ -531,7 +531,6 @@ def longest_lacking_search(
     deepest node has length formula - 1, so such a node is a bug.
     """
     opts = options or SearchOptions()
-    budget = DEFAULT_NODE_BUDGET if opts.node_budget is None else opts.node_budget
     cap = formula_value(group, criterion) + 2
 
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
@@ -547,9 +546,9 @@ def longest_lacking_search(
         state0 = (state0[0] | (bit_tables(group).full_mask ^ 1), state0[1])
     root = ((0,) * group.order, state0, 0)
     if opts.workers > 1 and _can_fork():
-        found = _forked_search(root, opts.workers, group, criterion, prune, budget, cap)
+        found = _forked_search(root, opts.workers, group, criterion, prune, opts.node_budget, cap)
     else:  # one worker, or a platform that cannot fork
-        found = _run_subtree(group, criterion, root, prune, budget, cap)
+        found = _run_subtree(group, criterion, root, prune, opts.node_budget, cap)
     best, best_list, nodes, complete = found
 
     reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())

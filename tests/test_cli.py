@@ -1,6 +1,6 @@
 import json
 
-from zerosum import GroupSpec, parse_sequence
+from zerosum import GroupSpec, cli, parse_sequence
 from zerosum.cli import main
 
 
@@ -236,6 +236,21 @@ def test_output_to_a_directory_is_a_user_error(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith(f"error: cannot write {tmp_path}")
     assert captured.out == ""
+
+
+def test_output_is_checked_before_the_search(tmp_path, capsys, monkeypatch):
+    def search(*args):
+        raise AssertionError("the search ran before --output was checked")
+
+    monkeypatch.setattr(cli, "check_property", search)
+    path = tmp_path / "missing" / "x.json"
+    assert main(["check", "property-D", "--m", "5", "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+    # The check does not truncate: a command that then fails leaves the file as it was.
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    assert main(["check", "property-D", "--output", str(kept)]) == 2
+    assert kept.read_text() == "old\n"
 
 
 def test_workers_flag(capsys):

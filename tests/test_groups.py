@@ -11,7 +11,7 @@ from zerosum import (
     is_generating_pair,
     order_of,
 )
-from zerosum.groups import _aut_rows, aut_permutations, element_permutation
+from zerosum.groups import _aut_rows, aut_permutations
 from zerosum.inverse import _generating_pairs
 
 SMALL_GROUPS = [GroupSpec(2, 2), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 5), GroupSpec(2, 6)]
@@ -169,19 +169,15 @@ def test_automorphism_counts():
 @pytest.mark.parametrize("n1,n2", AUT_DEFINITION_GROUPS)
 def test_automorphisms_match_definition(n1, n2):
     # every pair of images (img1, img2) with n1*img1 = 0 that spans G, in
-    # index order; the permutation reads the Element map
+    # index order; the permutation reads the Element map (a, b) -> a*img1 + b*img2
     g = GroupSpec(n1, n2)
     elems = list(g.elements())
     expected = [
-        (img1, img2)
+        tuple((e.a * img1 + e.b * img2).index for e in elems)
         for img1 in elems if (n1 * img1).is_zero()
         for img2 in elems if spans(img1, img2)
     ]
-    auts = automorphisms(g)
-    assert [(a.img1, a.img2) for a in auts] == expected
-    for a in auts:
-        perm = element_permutation(a)
-        assert all(perm[e.index] == a(e).index for e in elems)
+    assert list(automorphisms(g)) == expected
 
 
 @pytest.mark.parametrize("n1,n2", [(n1, n2) for n1, n2 in AUT_DEFINITION_GROUPS if n1 > 1])
@@ -203,12 +199,16 @@ def test_automorphism_bound_error():
 
 
 def test_automorphisms_preserve_order_and_are_bijective():
+    # additive: p(x + y) = p(x) + p(y), with the sums taken as Elements
     for g in SMALL_GROUPS:
-        for aut in automorphisms(g):
-            perm = element_permutation(aut)
-            assert sorted(perm) == list(range(g.order))
-            for e in g.elements():
-                assert order_of(aut(e)) == order_of(e)
+        elems = list(g.elements())
+        add = [[(x + y).index for y in elems] for x in elems]
+        for p in automorphisms(g):
+            assert sorted(p) == list(range(g.order))
+            for i, j in itertools.product(range(g.order), repeat=2):
+                assert p[add[i][j]] == add[p[i]][p[j]]
+            for e in elems:
+                assert order_of(g.element_at(p[e.index])) == order_of(e)
 
 
 def test_automorphisms_closed_under_composition_and_inverse():
@@ -217,7 +217,7 @@ def test_automorphisms_closed_under_composition_and_inverse():
     import math
 
     for g in [GroupSpec(2, 2), GroupSpec(2, 4), GroupSpec(1, 5)]:
-        perms = {element_permutation(a) for a in automorphisms(g)}
+        perms = set(automorphisms(g))
         assert len(perms) == len(automorphisms(g))
         assert math.factorial(g.order) % len(perms) == 0
         assert tuple(range(g.order)) in perms

@@ -20,7 +20,6 @@ from zerosum import (
     enumerate_extremal,
     formula_value,
     lacks,
-    order_of,
     parse_sequence,
     reproduce_exp_minus_1,
     verify_lemma,
@@ -91,7 +90,7 @@ def test_classify_roundtrip():
         for _ in range(100):
             form = _random_valid_form(rng, group)
             matches = classify(construct(form))
-            assert form in [m.form for m in matches]
+            assert form in matches
 
 
 ORACLE_FORM_GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (2, 8)]
@@ -123,10 +122,6 @@ def _forms_by_counts(group):
     return {c: sorted(fs, key=ExtremalForm.sort_key) for c, fs in out.items()}
 
 
-def _classified_forms(seq):
-    return [m.form for m in classify(seq)]
-
-
 @pytest.mark.parametrize("gspec", ORACLE_FORM_GROUPS, ids=lambda g: f"{g[0]}-{g[1]}")
 def test_classify_matches_forward_form_oracle(gspec):
     group = GroupSpec(*gspec)
@@ -135,7 +130,7 @@ def test_classify_matches_forward_form_oracle(gspec):
         enum = enumerate_extremal(group, kind)
         assert enum.complete and enum.sequences
         for seq in enum.sequences:
-            assert _classified_forms(seq) == oracle.get(seq.counts, [])
+            assert classify(seq) == oracle.get(seq.counts, [])
 
     rng = random.Random(sum(gspec))
     form_counts = sorted(oracle)
@@ -150,22 +145,22 @@ def test_classify_matches_forward_form_oracle(gspec):
             for _ in range(length - len(support)):
                 counts[rng.choice(support)] += 1
             seq = Sequence(group, tuple(counts))
-            assert _classified_forms(seq) == oracle.get(seq.counts, [])
+            assert classify(seq) == oracle.get(seq.counts, [])
     for _ in range(80):
         # a stated sequence, and the same with one term moved
         counts = list(rng.choice(form_counts))
-        assert _classified_forms(Sequence(group, tuple(counts))) == oracle[tuple(counts)]
+        assert classify(Sequence(group, tuple(counts))) == oracle[tuple(counts)]
         counts[rng.choice([i for i, c in enumerate(counts) if c])] -= 1
         counts[rng.randrange(group.order)] += 1
-        assert _classified_forms(Sequence(group, tuple(counts))) == oracle.get(tuple(counts), [])
+        assert classify(Sequence(group, tuple(counts))) == oracle.get(tuple(counts), [])
 
 
 def test_classify_example_s_window():
     g = GroupSpec(2, 6)
     matches = classify(parse_sequence(g, "(0,0)^3 (1,0)^3 (0,1)^3 (1,1)^3"))
     assert matches
-    s_a = [m for m in matches if m.form.tag is FormTag.S_A]
-    assert s_a and all(m.form.s == 2 and m.form.t == 2 for m in s_a)
+    s_a = [m for m in matches if m.tag is FormTag.S_A]
+    assert s_a and all(m.s == 2 and m.t == 2 for m in s_a)
 
 
 def test_classify_right_length_no_match_is_empty_not_error():
@@ -185,12 +180,6 @@ def test_classify_wrong_length_errors():
 def test_classify_match_metadata():
     g = GroupSpec(2, 4)
     matches = classify(parse_sequence(g, "(1,0) (0,1) (1,1)^3"))
-    for m in matches:
-        assert m.ord_g1 == order_of(m.form.e1)
-        if m.form.x is not None:
-            assert m.x_normalized == (2 * m.form.x <= g.m)
-        else:
-            assert m.x_normalized
     jsons = [m.to_json() for m in matches]
     assert {"form": "eta_a", "e1": [1, 0], "e2": [0, 1], "x": 1, "s": 1} in jsons
 
@@ -379,9 +368,10 @@ def test_extremality_is_aut_invariant():
     g = GroupSpec(2, 4)
     for kind in (ExtremalKind.ETA, ExtremalKind.S):
         seqs = set(enumerate_extremal(g, kind).sequences)
-        for aut in automorphisms(g):
+        for p in automorphisms(g):
             for s in seqs:
-                img = Sequence.from_items(g, [(aut(e), k) for e, k in s.items()])
+                items = [(g.element_at(p[e.index]), k) for e, k in s.items()]
+                img = Sequence.from_items(g, items)
                 assert img in seqs
                 assert bool(classify(img)) == bool(classify(s))
 

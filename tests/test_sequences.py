@@ -99,8 +99,9 @@ def test_canonical_form():
             s = random_sequence(rng, grp, 6)
             c = canonical_form(s)
             assert canonical_form(c) == c
-            for aut in automorphisms(grp):
-                image = Sequence.from_items(grp, [(aut(e), k) for e, k in s.items()])
+            for p in automorphisms(grp):
+                items = [(grp.element_at(p[e.index]), k) for e, k in s.items()]
+                image = Sequence.from_items(grp, items)
                 assert canonical_form(image) == c
 
 
