@@ -24,9 +24,7 @@ from .groups import (
 )
 from .inverse import (
     CheckResult,
-    ExtremalEnumeration,
     ExtremalForm,
-    ExtremalKind,
     FormTag,
     LemmaName,
     check_property,
@@ -49,9 +47,7 @@ __all__ = [
     "CheckResult",
     "Criterion",
     "Element",
-    "ExtremalEnumeration",
     "ExtremalForm",
-    "ExtremalKind",
     "FormTag",
     "GroupSpec",
     "LemmaName",

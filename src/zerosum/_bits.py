@@ -13,34 +13,17 @@ rebuilds it with at least twice the rows when a caller needs more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
 from .groups import GroupSpec
 
 
-@dataclass(frozen=True)
-class BitTables:
-    group: GroupSpec
-    size: int
-    neg: tuple[int, ...]                                # index of -g
-    parts: tuple[tuple[tuple[int, int], ...], ...]      # per g: ((delta, mask), ...)
-    full_mask: int
-
-
 @lru_cache(maxsize=None)
-def bit_tables(group: GroupSpec) -> BitTables:
+def neg_table(group: GroupSpec) -> tuple[int, ...]:
+    """neg_table(G)[i] = index of -element_i."""
     n1, n2 = group.n1, group.n2
-    size = n1 * n2
-    neg = tuple(((n1 - i // n2) % n1) * n2 + (n2 - i % n2) % n2 for i in range(size))
-    parts = []
-    for row in add_table(group):
-        by_delta: dict[int, int] = {}
-        for i, j in enumerate(row):
-            by_delta[j - i] = by_delta.get(j - i, 0) | (1 << i)
-        parts.append(tuple(sorted(by_delta.items())))
-    return BitTables(group, size, neg, tuple(parts), (1 << size) - 1)
+    return tuple(((n1 - i // n2) % n1) * n2 + (n2 - i % n2) % n2 for i in range(n1 * n2))
 
 
 def shift_mask(x: int, parts_g: tuple[tuple[int, int], ...]) -> int:
@@ -70,10 +53,17 @@ def row_parts(group: GroupSpec, rows: int) -> tuple[tuple[tuple[int, int], ...],
     if cached is not None and cached[0] >= rows:
         return cached[1]
     rows = max(rows, 1, 2 * cached[0] if cached is not None else 0)
-    tables = bit_tables(group)
+    size = group.order
     # mask * repunit repeats a one-row mask in every row (no carries: mask < 2^|G|).
-    repunit = ((1 << (rows * tables.size)) - 1) // tables.full_mask
-    parts = tuple(tuple((d, mask * repunit) for d, mask in pg) for pg in tables.parts)
+    repunit = ((1 << (rows * size)) - 1) // ((1 << size) - 1)
+    parts = []
+    for row in add_table(group):
+        # Translation by g moves bit i to bit row[i]: one mask per distance.
+        by_delta: dict[int, int] = {}
+        for i, j in enumerate(row):
+            by_delta[j - i] = by_delta.get(j - i, 0) | (1 << i)
+        parts.append(tuple((d, mask * repunit) for d, mask in sorted(by_delta.items())))
+    parts = tuple(parts)
     _ROW_PARTS[group] = (rows, parts)
     return parts
 

@@ -18,7 +18,6 @@ from .constants import check_direct_formulas, longest_lacking
 from .criteria import Criterion
 from .groups import GroupSpec
 from .inverse import (
-    ExtremalKind,
     LemmaName,
     check_property,
     classify,
@@ -104,13 +103,13 @@ def _cmd_extremal(args, opts: SearchOptions) -> int:
     group = GroupSpec.parse(args.group)
     if group.rank != 2:
         raise ValueError("extremal enumeration needs a rank-2 group")
-    kind = ExtremalKind(args.kind)
-    enum = enumerate_extremal(group, kind, up_to_aut=args.up_to_aut,
-                              options=opts)
+    criterion = Criterion.from_name(args.kind)
+    seqs, complete = enumerate_extremal(group, criterion, up_to_aut=args.up_to_aut, options=opts)
     records = []
     any_unmatched = False
-    for seq in enum.sequences:
-        rec = {"group": str(group), "kind": kind.value, "sequence": seq.text(), "length": len(seq)}
+    for seq in seqs:
+        rec = {"group": str(group), "kind": criterion.value, "sequence": seq.text(),
+               "length": len(seq)}
         if args.classify:
             matches = classify(seq)
             rec["matches"] = [m.to_json() for m in matches]
@@ -134,7 +133,7 @@ def _cmd_extremal(args, opts: SearchOptions) -> int:
             lines.append(f"{r['sequence']}{suffix}")
         _emit(args, "\n".join(lines))
 
-    if not enum.complete:
+    if not complete:
         return EXIT_BUDGET
     if args.classify and any_unmatched:
         return EXIT_COUNTEREXAMPLE
@@ -143,22 +142,13 @@ def _cmd_extremal(args, opts: SearchOptions) -> int:
 
 def _cmd_check(args, opts: SearchOptions) -> int:
     target = args.target
+    param = "n" if target == "invcyc" else "m"
+    if getattr(args, param) is None:
+        raise ValueError(f"{target} needs --{param}")
     if target in ("property-C", "property-D"):
-        if args.m is None:
-            raise ValueError(f"{target} needs --m")
         result = check_property(args.m, target[-1], opts)
-    elif target == "noshort":
-        if args.m is None:
-            raise ValueError("noshort needs --m")
-        result = verify_lemma(LemmaName.NOSHORT, m=args.m)
-    elif target == "two-m":
-        if args.m is None:
-            raise ValueError("two-m needs --m")
-        result = verify_lemma(LemmaName.TWO_M, m=args.m)
-    else:  # invcyc
-        if args.n is None:
-            raise ValueError("invcyc needs --n")
-        result = verify_lemma(LemmaName.INVCYC, n=args.n, options=opts)
+    else:
+        result = verify_lemma(LemmaName(target), m=args.m, n=args.n, options=opts)
 
     if args.format == "json":
         _emit(args, _dump_json(result.to_json()))
@@ -281,8 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import os
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = False
     try:
         # Built before any command runs: SearchOptions rejects a bad
         # --workers or --budget, also for the commands that run no search.
@@ -291,9 +284,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.output:
             # Appending nothing checks that the file can be written, before
             # the search and without truncating it.
+            existed = os.path.exists(args.output)
             _write(args.output, "", "a")
+            created = not existed
         return args.func(args, opts)
     except ValueError as exc:
+        if created:
+            # A command that fails leaves no file behind that only the check made.
+            os.remove(args.output)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
 

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from ._bits import add_table, bit_tables, row_parts, shift_mask
+from ._bits import add_table, neg_table, row_parts, shift_mask
 from .groups import Element, GroupSpec
 from .sequences import Sequence, shift
 
@@ -83,8 +83,7 @@ def _stepper(group: GroupSpec, criterion: Criterion):
     length is a multiple of 1) and EXP_MULTIPLE (k = exp).  One push
     translates every row with one shift_mask call.
     """
-    tables = bit_tables(group)
-    size = tables.size
+    size = group.order
     exp = group.exponent
     top = (exp - 1) * size  # bit offset of row exp-1
 
@@ -109,7 +108,7 @@ def _stepper(group: GroupSpec, criterion: Criterion):
         while live > 1:
             live = (live + 1) // 2
             folds.append(live * size)
-        row0 = tables.full_mask
+        row0 = (1 << size) - 1
 
         def push(state, e):
             packed = state[1]
@@ -175,7 +174,7 @@ def lacks(seq: Sequence, criterion: Criterion) -> bool:
     the first term that would complete a forbidden zero-sum.
     """
     state, push = _shared_stepper(seq.group, criterion)
-    neg = bit_tables(seq.group).neg
+    neg = neg_table(seq.group)
     for e, mult in enumerate(seq.counts):
         for _ in range(mult):
             if (state[0] >> neg[e]) & 1:
@@ -211,7 +210,7 @@ def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     if target is None:
         return None
 
-    neg = bit_tables(seq.group).neg
+    neg = neg_table(seq.group)
     add = add_table(seq.group)
     support = [i for i, mult in enumerate(seq.counts) if mult]
     need_l, need_idx = target, 0

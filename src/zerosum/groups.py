@@ -13,13 +13,13 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
 
-# automorphisms() refuses groups above this order, and the search runs
-# unpruned there.  Enumeration is |G|^2/n generation tests, so the cap is not
-# about time: it fixes where orbit pruning is on, and with it the pinned node
-# counts.  What it bounds is memory: the orbit tables hold |Aut(G)|*|G|
-# permutation indices and least_image's rows |G|^2*|Aut(G)| bits.  The largest
-# Aut(G) under the cap, GL2(Z/19) on C19+C19 (123,120 automorphisms), needs
-# about 0.7 GB and 2 GB for them.
+# basis_images() and automorphisms() refuse groups above this order, and the
+# search runs unpruned there.  Enumeration is |G|^2/n generation tests, so
+# the cap is not about time: it fixes where orbit pruning is on, and with it
+# the pinned node counts.  What it bounds is memory: the orbit tables hold
+# |Aut(G)|*|G| permutation indices and least_image's rows |G|^2*|Aut(G)|
+# bits.  The largest Aut(G) under the cap, GL2(Z/19) on C19+C19 (123,120
+# automorphisms), needs about 0.7 GB and 2 GB for them.
 AUT_ENUMERATION_MAX_ORDER = 512
 
 
@@ -214,28 +214,41 @@ def is_basis_pair(g1: Element, g2: Element) -> bool:
 
 
 @lru_cache(maxsize=None)
-def automorphisms(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """The full automorphism group as permutations of element indices,
-    ordered lexicographically by generator images.
+def basis_images(group: GroupSpec) -> tuple[tuple[int, int], ...]:
+    """The index pairs (i1, i2) of the images of (1,0) and (0,1) under every
+    automorphism, in index order.
 
     An automorphism is a pair of images (img1, img2) of (1,0) and (0,1) that
     is well defined, n1*img1 = 0 (n2*img2 = 0 holds automatically), and
     bijective, which holds iff the images generate the group (generates).
-    So img1 = (a1, b1) runs over b1 in multiples of n2/n1, img2 over G.
-    Permutation p maps index i to the index of the image of element i
-    (image_indices), so in rank two img1 has index p[n2] and img2 p[1].
+    So img1 = (a1, b1) runs over b1 in multiples of n2/n1, i.e. over every
+    n-th index, and img2 over G.
     """
     if group.order > AUT_ENUMERATION_MAX_ORDER:
         raise ValueError(
             "group too large for automorphism enumeration "
             f"(order {group.order} > {AUT_ENUMERATION_MAX_ORDER})"
         )
-    elems = tuple(group.elements())
+    n2 = group.n2
     return tuple(
-        image_indices(group, img1.a, img1.b, img2.a, img2.b)
-        for img1 in elems[:: group.n]
-        for img2 in elems
-        if generates(group, img1.a, img1.b, img2.a, img2.b)
+        (i1, i2)
+        for i1 in range(0, group.order, group.n)
+        for i2 in range(group.order)
+        if generates(group, *divmod(i1, n2), *divmod(i2, n2))
+    )
+
+
+@lru_cache(maxsize=None)
+def automorphisms(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The full automorphism group as permutations of element indices,
+    ordered lexicographically by generator images (basis_images).
+
+    Permutation p maps index i to the index of the image of element i
+    (image_indices), so in rank two img1 has index p[n2] and img2 p[1].
+    """
+    n2 = group.n2
+    return tuple(
+        image_indices(group, *divmod(i1, n2), *divmod(i2, n2)) for i1, i2 in basis_images(group)
     )
 
 
@@ -313,24 +326,3 @@ def least_image(counts, group: GroupSpec, bound: tuple | None = None) -> tuple |
     # One getter is left, or those left tie everywhere: any one gives the image.
     image = getters[alive.bit_length() - 1](counts)
     return None if tight and image >= bound else image
-
-
-def aut_match_count(counts, target, group: GroupSpec) -> int:
-    """How many getters of Aut(G) (tuple, the identity, included) map counts
-    to target, a table with the same counts in another order.
-
-    Narrows the bitset of _aut_rows to the getters that read, at each
-    position j of target's support, an index where counts has target[j];
-    counts has target's counts, so the rest of such an image is 0 as well.
-    """
-    getters, rows = _aut_rows(group)
-    support = [v for v, c in enumerate(counts) if c]
-    alive = (1 << len(getters)) - 1
-    for j, c in enumerate(target):
-        if c:
-            row = rows[j]
-            alive &= sum([row[v] for v in support if counts[v] == c])
-            if not alive:
-                break
-    return alive.bit_count()
-

@@ -34,12 +34,12 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Optional
 
-from ._bits import add_table, bit_tables
+from ._bits import add_table, neg_table
 from .criteria import Criterion, formula_value, has_zero_sum_of_length, lacks
 from .groups import (
     Element,
     GroupSpec,
-    automorphisms,
+    basis_images,
     generates,
     image_indices,
     is_basis_pair,
@@ -60,18 +60,13 @@ class FormTag(Enum):
 _TAG_RANK = {tag: rank for rank, tag in enumerate(FormTag)}
 
 
-class ExtremalKind(Enum):
-    ETA = "eta"
-    S = "s"
-
-
 class LemmaName(Enum):
     NOSHORT = "noshort"
     TWO_M = "two-m"
     INVCYC = "invcyc"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ExtremalForm:
     """One parameterization of an extremal family.
 
@@ -195,13 +190,10 @@ def _ordered_bases(group: GroupSpec) -> tuple[tuple[Element, Element], ...]:
     """Every ordered basis (e1, e2) with ord(e2) = exp(G), in index order.
 
     These are exactly the automorphism images of the standard basis: in
-    C_m + C_mn a basis with ord(e2) = mn forces ord(e1) = m.  The images of
-    (1,0) and (0,1) have indices p[n2] and p[1], and automorphisms() lists
-    them in index order.
+    C_m + C_mn a basis with ord(e2) = mn forces ord(e1) = m.  basis_images
+    lists their index pairs in index order.
     """
-    return tuple(
-        (group.element_at(p[group.n2]), group.element_at(p[1])) for p in automorphisms(group)
-    )
+    return tuple((group.element_at(i1), group.element_at(i2)) for i1, i2 in basis_images(group))
 
 
 @lru_cache(maxsize=None)
@@ -226,14 +218,14 @@ def _index_tables(group: GroupSpec) -> tuple:
     (elements, add, neg, scaled, bases, generating): elements[i] has index
     i; add[i][j] and neg[i] index e_i + e_j and -e_i; scaled holds, per unit
     x, the pair (x, index of x*e_i over i); bases and generating are
-    _ordered_bases and _generating_pairs as sets of index pairs.
+    basis_images and _generating_pairs as sets of index pairs.
     """
     return (
         tuple(group.elements()),
         add_table(group),
-        bit_tables(group).neg,
+        neg_table(group),
         tuple((x, image_indices(group, x, 0, 0, x)) for x in _units(group.m)),
-        frozenset((e1.index, e2.index) for e1, e2 in _ordered_bases(group)),
+        frozenset(basis_images(group)),
         frozenset((g1.index, g2.index) for g1, g2 in _generating_pairs(group)),
     )
 
@@ -324,19 +316,10 @@ def classify(seq: Sequence) -> list[ExtremalForm]:
     return forms
 
 
-@dataclass
-class ExtremalEnumeration:
-    group: GroupSpec
-    kind: ExtremalKind
-    sequences: list[Sequence]
-    complete: bool
-
-
-def _extremal_search(group: GroupSpec, kind: ExtremalKind, options: Optional[SearchOptions]):
-    """The search for the extremals of kind, and their length."""
-    crit = Criterion.SHORT if kind is ExtremalKind.ETA else Criterion.EXACT_EXP
-    target = formula_value(group, crit) - 1
-    out = longest_lacking_search(group, crit, options)
+def _extremal_search(group: GroupSpec, criterion: Criterion, options: Optional[SearchOptions]):
+    """The search for the extremals of criterion, and their length."""
+    target = formula_value(group, criterion) - 1
+    out = longest_lacking_search(group, criterion, options)
     if out.complete and out.max_length != target:
         raise RuntimeError(
             f"extremal search reached length {out.max_length}, expected {target}"
@@ -346,26 +329,26 @@ def _extremal_search(group: GroupSpec, kind: ExtremalKind, options: Optional[Sea
 
 def enumerate_extremal(
     group: GroupSpec,
-    kind: ExtremalKind,
+    criterion: Criterion,
     up_to_aut: bool = False,
     options: Optional[SearchOptions] = None,
-) -> ExtremalEnumeration:
-    """All sequences of extremal length lacking the matching pattern.
+) -> tuple[list[Sequence], bool]:
+    """All sequences of length formula_value(group, criterion) - 1 that lack
+    the criterion, and whether the search was complete.
 
-    With up_to_aut, one representative per automorphism orbit (the canonical
-    form, taken from the search's representatives: SearchOutcome.classes),
+    With up_to_aut, one representative per automorphism orbit (its least
+    image, taken from the search's representatives: SearchOutcome.classes),
     in deterministic order either way; only the full listing builds the
     orbit.  A run cut short by the node budget keeps only the
     extremal-length sequences it reached (possibly none), never the shorter
     maximal ones of a partial tree.
     """
-    out, target = _extremal_search(group, kind, options)
+    out, target = _extremal_search(group, criterion, options)
     if out.max_length != target:
         found = []
     else:
         found = out.classes if up_to_aut else out.sequences
-    seqs = [Sequence(group, c) for c in found]
-    return ExtremalEnumeration(group, kind, seqs, out.complete)
+    return [Sequence(group, c) for c in found], out.complete
 
 
 @dataclass
@@ -397,12 +380,13 @@ class CheckResult:
 def check_property(m: int, which: str, options: Optional[SearchOptions] = None) -> CheckResult:
     """Does every extremal sequence over C_m + C_m have the shape T^(m-1)?
 
-    which = "C" checks the eta-extremals, "D" the s-extremals.  Exhaustive
-    within the node budget; a budget hit reports "unverified" rather than
-    trusting anything not recomputed here.  The shape is invariant under
-    automorphisms and translations, so the search's representatives decide
-    it and extremal_count is SearchOutcome.orbit_count; the orbit is built
-    only to list the counterexamples of a failed check.
+    which = "C" checks the eta-extremals (Criterion.SHORT), "D" the
+    s-extremals (Criterion.EXACT_EXP).  Exhaustive within the node budget; a
+    budget hit reports "unverified" rather than trusting anything not
+    recomputed here.  The shape is invariant under automorphisms and
+    translations, so the search's representatives decide it, and on a
+    complete run extremal_count is SearchOutcome.orbit_count; the orbit is
+    built only to list the counterexamples of a failed check.
     """
     which = which.upper()
     if which not in ("C", "D"):
@@ -410,8 +394,8 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
     if m < 2:
         raise ValueError("property checks need m >= 2")
     group = GroupSpec(m, m)
-    kind = ExtremalKind.ETA if which == "C" else ExtremalKind.S
-    out = _extremal_search(group, kind, options)[0]
+    criterion = Criterion.SHORT if which == "C" else Criterion.EXACT_EXP
+    out = _extremal_search(group, criterion, options)[0]
     rep = m - 1
     if out.complete:
         bad = []

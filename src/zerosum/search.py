@@ -28,10 +28,9 @@ Two reductions, on wherever sound, shrink the tree without changing any result:
 A search returns the maximal tables it kept with the itemgetters of the
 reductions in force (groups.aut_getters, _bits.shift_getters); SearchOutcome
 re-expands them over the orbit only when a caller reads that set (the same
-set under every option).  Its least table, its size (orbit-stabilizer, over
-the distinct canonical tables of the representatives) and its automorphism
-classes come from the representatives and their translates, by
-groups.least_image and groups.aut_match_count, without the orbit.
+set under every option).  Its least table and its automorphism classes come
+from the representatives and their translates by groups.least_image, and its
+size from the classes, without the orbit.
 
 Each node extends its parent's state by one push of the criterion's stepper
 (criteria._stepper).  One DFS (_dfs) serves every walk: a search is one walk
@@ -57,11 +56,11 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional
 
-from ._bits import bit_tables, shift_getters
+from ._bits import neg_table, shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
 from .criteria import Criterion, _shared_stepper, _stepper, formula_value  # noqa: F401
 from .groups import (
-    AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_match_count, aut_permutations, least_image,
+    AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_permutations, least_image,
 )
 from .sequences import Sequence
 
@@ -123,7 +122,7 @@ class SearchOutcome:
     sequences builds that whole orbit on first read, for the callers that
     list it.  The other reads work from the representatives and never build
     it: least finds its first table and classes its automorphism classes by
-    least_image, orbit_count its size by orbit-stabilizer.
+    least_image, and orbit_count its size from the classes.
     """
 
     group: GroupSpec
@@ -151,13 +150,13 @@ class SearchOutcome:
 
     @cached_property
     def orbit_count(self) -> int:
-        """len(sequences), by the orbit-stabilizer theorem: |H| / |Stab(C)|
-        summed over the distinct canonical tables C of the representatives
-        (the least table of each one's H-orbit), so representatives that
-        share an orbit count once."""
-        size = (len(self.aut) + 1) * (len(self.shifts) + 1)
-        canonical = {self._least_of([r]) for r in self.representatives}
-        return sum(size // self._stabilizer(c) for c in canonical)
+        """len(sequences) of a complete search, as the summed sizes of its
+        automorphism classes: the maximal tables of a complete search are
+        closed under Aut(G), and classes lists the least table of each class.
+        (A search cut short keeps tables that need not be; only
+        check_property reads this, and only on complete runs.)"""
+        getters = (tuple, *aut_getters(self.group))
+        return sum(len({g(c) for g in getters}) for c in self.classes)
 
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
@@ -191,15 +190,6 @@ class SearchOutcome:
         for t in tables:
             best = least_image(t, self.group, best) or best
         return best
-
-    def _stabilizer(self, table) -> int:
-        """|Stab(table)| in H.  An element of H is an automorphism after a
-        translation; automorphisms fix index 0, so it maps table to itself
-        only if its translate has table's count at index 0."""
-        translates = self._translates(table, table[0])
-        if not self.aut:
-            return translates.count(tuple(table))
-        return sum(aut_match_count(t, table, self.group) for t in translates)
 
 
 @lru_cache(maxsize=None)
@@ -328,9 +318,8 @@ class _Ctx:
     )
 
     def __init__(self, group, criterion, caps, prune, budget, cap, limit=None, frontier=None):
-        tables = bit_tables(group)
-        self.size = tables.size
-        self.neg = tables.neg
+        self.size = group.order
+        self.neg = neg_table(group)
         self.push = _shared_stepper(group, criterion)[1]
         self.caps = caps
         self.guards = self.deltas = self.trie = None
@@ -543,7 +532,7 @@ def longest_lacking_search(
         # all the same), and blocks the rest.  The pushes of EXACT_EXP and
         # EXP_MULTIPLE rebuild the blocked set from the packed rows, so no
         # node below the root sees these blocks.
-        state0 = (state0[0] | (bit_tables(group).full_mask ^ 1), state0[1])
+        state0 = (state0[0] | (((1 << group.order) - 1) ^ 1), state0[1])
     root = ((0,) * group.order, state0, 0)
     if opts.workers > 1 and _can_fork():
         found = _forked_search(root, opts.workers, group, criterion, prune, opts.node_budget, cap)

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._bits import add_table, bit_tables
+from ._bits import add_table, neg_table
 from .groups import Element, GroupSpec
 
 
@@ -136,6 +136,6 @@ def shift(h: Element, seq: Sequence) -> Sequence:
     """
     if h.group != seq.group:
         raise ValueError("shift element from a different group")
-    row = add_table(seq.group)[bit_tables(seq.group).neg[h.index]]
+    row = add_table(seq.group)[neg_table(seq.group)[h.index]]
     return Sequence(seq.group, tuple(map(seq.counts.__getitem__, row)))
 

@@ -16,7 +16,6 @@ from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequen
 from zerosum import (
     Criterion,
     ExtremalForm,
-    ExtremalKind,
     FormTag,
     GroupSpec,
     LemmaName,
@@ -156,13 +155,13 @@ def test_criterion_5_converse_half_classification():
     total = 0
     for gspec in CONVERSE_GROUPS:
         group = GroupSpec(*gspec)
-        for kind in (ExtremalKind.ETA, ExtremalKind.S):
-            enum = enumerate_extremal(group, kind)
-            assert enum.complete
-            for seq in enum.sequences:
+        for crit in (Criterion.SHORT, Criterion.EXACT_EXP):
+            seqs, complete = enumerate_extremal(group, crit)
+            assert complete
+            for seq in seqs:
                 total += 1
                 if not classify(seq):
-                    unmatched.append((str(group), kind.value, seq.text()))
+                    unmatched.append((str(group), crit.value, seq.text()))
     _report(5, not unmatched,
             f"all {total} extremal sequences over {CONVERSE_GROUPS} classified non-empty"
             + (f"; unmatched: {unmatched[:3]}" if unmatched else ""), t0)

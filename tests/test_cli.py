@@ -155,7 +155,17 @@ def test_check_noshort_m4_x_values(capsys):
 
 
 def test_check_missing_param(capsys):
-    assert run(capsys, "check", "noshort")[0] == 2
+    for target, param in (("property-C", "m"), ("property-D", "m"), ("noshort", "m"),
+                          ("two-m", "m"), ("invcyc", "n")):
+        assert main(["check", target]) == 2
+        assert capsys.readouterr().err == f"error: {target} needs --{param}\n"
+
+
+def test_noshort_above_the_automorphism_cap_is_a_user_error(capsys):
+    # C23+C23 has order 529 > 512: the basis table is refused before any work.
+    assert main(["check", "noshort", "--m", "23"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "group too large for automorphism enumeration" in captured.err
 
 
 def test_search_options_are_checked_for_every_command(capsys):
@@ -251,6 +261,11 @@ def test_output_is_checked_before_the_search(tmp_path, capsys, monkeypatch):
     kept.write_text("old\n")
     assert main(["check", "property-D", "--output", str(kept)]) == 2
     assert kept.read_text() == "old\n"
+    # A file that only the check made is removed again when the command fails.
+    for argv in (["check", "property-D"], ["extremal", "--group", "5", "--kind", "s"]):
+        new = tmp_path / "new.json"
+        assert main([*argv, "--output", str(new)]) == 2
+        assert not new.exists(), argv
 
 
 def test_workers_flag(capsys):

@@ -11,7 +11,7 @@ from zerosum import (
     is_generating_pair,
     order_of,
 )
-from zerosum.groups import _aut_rows, aut_permutations
+from zerosum.groups import _aut_rows, aut_permutations, basis_images
 from zerosum.inverse import _generating_pairs
 
 SMALL_GROUPS = [GroupSpec(2, 2), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 5), GroupSpec(2, 6)]
@@ -172,12 +172,13 @@ def test_automorphisms_match_definition(n1, n2):
     # index order; the permutation reads the Element map (a, b) -> a*img1 + b*img2
     g = GroupSpec(n1, n2)
     elems = list(g.elements())
+    images = [(img1, img2) for img1 in elems if (n1 * img1).is_zero()
+              for img2 in elems if spans(img1, img2)]
     expected = [
-        tuple((e.a * img1 + e.b * img2).index for e in elems)
-        for img1 in elems if (n1 * img1).is_zero()
-        for img2 in elems if spans(img1, img2)
+        tuple((e.a * img1 + e.b * img2).index for e in elems) for img1, img2 in images
     ]
     assert list(automorphisms(g)) == expected
+    assert list(basis_images(g)) == [(img1.index, img2.index) for img1, img2 in images]
 
 
 @pytest.mark.parametrize("n1,n2", [(n1, n2) for n1, n2 in AUT_DEFINITION_GROUPS if n1 > 1])

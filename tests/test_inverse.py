@@ -8,7 +8,6 @@ import zerosum.inverse as inverse
 from zerosum import (
     Criterion,
     ExtremalForm,
-    ExtremalKind,
     FormTag,
     GroupSpec,
     LemmaName,
@@ -20,6 +19,7 @@ from zerosum import (
     enumerate_extremal,
     formula_value,
     lacks,
+    order_of,
     parse_sequence,
     reproduce_exp_minus_1,
     verify_lemma,
@@ -126,10 +126,10 @@ def _forms_by_counts(group):
 def test_classify_matches_forward_form_oracle(gspec):
     group = GroupSpec(*gspec)
     oracle = _forms_by_counts(group)
-    for kind in (ExtremalKind.ETA, ExtremalKind.S):
-        enum = enumerate_extremal(group, kind)
-        assert enum.complete and enum.sequences
-        for seq in enum.sequences:
+    for crit in (Criterion.SHORT, Criterion.EXACT_EXP):
+        seqs, complete = enumerate_extremal(group, crit)
+        assert complete and seqs
+        for seq in seqs:
             assert classify(seq) == oracle.get(seq.counts, [])
 
     rng = random.Random(sum(gspec))
@@ -186,30 +186,54 @@ def test_classify_match_metadata():
 
 def test_enumerate_extremal_c2c2():
     g = GroupSpec(2, 2)
-    eta = enumerate_extremal(g, ExtremalKind.ETA)
-    assert eta.sequences == [parse_sequence(g, "(1,0) (0,1) (1,1)")]
-    s = enumerate_extremal(g, ExtremalKind.S)
-    assert s.sequences == [parse_sequence(g, "(0,0) (1,0) (0,1) (1,1)")]
-    assert enumerate_extremal(g, ExtremalKind.ETA, up_to_aut=True).sequences == eta.sequences
+    eta = enumerate_extremal(g, Criterion.SHORT)
+    assert eta == ([parse_sequence(g, "(1,0) (0,1) (1,1)")], True)
+    s = enumerate_extremal(g, Criterion.EXACT_EXP)
+    assert s == ([parse_sequence(g, "(0,0) (1,0) (0,1) (1,1)")], True)
+    assert enumerate_extremal(g, Criterion.SHORT, up_to_aut=True) == eta
 
 
 def test_enumerate_extremal_c3c3_eta_shape():
     g = GroupSpec(3, 3)
-    enum = enumerate_extremal(g, ExtremalKind.ETA)
-    assert enum.sequences
-    for seq in enum.sequences:
+    seqs, _ = enumerate_extremal(g, Criterion.SHORT)
+    assert seqs
+    for seq in seqs:
         assert all(c % 2 == 0 for c in seq.counts)  # shape T^2
         assert len(seq) == 6
 
 
 def test_enumerate_up_to_aut_counts_orbits():
     g = GroupSpec(2, 4)
-    full = enumerate_extremal(g, ExtremalKind.ETA)
-    reps = enumerate_extremal(g, ExtremalKind.ETA, up_to_aut=True)
-    assert len(reps.sequences) < len(full.sequences)
+    full, _ = enumerate_extremal(g, Criterion.SHORT)
+    reps, _ = enumerate_extremal(g, Criterion.SHORT, up_to_aut=True)
+    assert len(reps) < len(full)
     from zerosum.groups import least_image
 
-    assert sorted({Sequence(g, least_image(s.counts, g)) for s in full.sequences}) == reps.sequences
+    assert sorted({Sequence(g, least_image(s.counts, g)) for s in full}) == reps
+
+
+@pytest.mark.parametrize("crit", list(Criterion))
+@pytest.mark.parametrize("n1,n2", [(2, 4), (3, 3)])
+def test_enumerate_extremal_every_criterion(n1, n2, crit):
+    from zerosum.groups import least_image
+
+    g = GroupSpec(n1, n2)
+    full, complete = enumerate_extremal(g, crit)
+    assert complete and full
+    for seq in full:
+        assert len(seq) == formula_value(g, crit) - 1 and lacks(seq, crit)
+    reps, _ = enumerate_extremal(g, crit, up_to_aut=True)
+    assert [s.counts for s in reps] == sorted({least_image(s.counts, g) for s in full})
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_enumerate_extremal_zero_sum_free_cyclic(n):
+    # The longest zero-sum free sequences over C_n are e^(n-1) with ord(e) = n.
+    g = GroupSpec.cyclic(n)
+    seqs, complete = enumerate_extremal(g, Criterion.ANY)
+    gens = [e for e in g.elements() if order_of(e) == n]
+    assert complete and len(seqs) == len(gens)
+    assert set(seqs) == {Sequence.from_items(g, [(e, n - 1)]) for e in gens}
 
 
 def test_check_property_examples():
@@ -287,13 +311,14 @@ def test_incomplete_checks_report_no_counterexamples():
 def test_incomplete_enumeration_keeps_only_extremal_length():
     group = GroupSpec(3, 6)
     target = formula_value(group, Criterion.EXACT_EXP) - 1
-    partial = enumerate_extremal(group, ExtremalKind.S, options=SearchOptions(node_budget=400))
-    assert not partial.complete and partial.sequences
-    for seq in partial.sequences:
+    partial, complete = enumerate_extremal(
+        group, Criterion.EXACT_EXP, options=SearchOptions(node_budget=400))
+    assert not complete and partial
+    for seq in partial:
         assert len(seq) == target and lacks(seq, Criterion.EXACT_EXP)
         assert classify(seq)
-    short = enumerate_extremal(group, ExtremalKind.S, options=SearchOptions(node_budget=5))
-    assert not short.complete and short.sequences == []
+    short = enumerate_extremal(group, Criterion.EXACT_EXP, options=SearchOptions(node_budget=5))
+    assert short == ([], False)
 
 
 def test_verify_lemma_noshort():
@@ -366,8 +391,8 @@ def test_extremality_is_aut_invariant():
     from zerosum import automorphisms
 
     g = GroupSpec(2, 4)
-    for kind in (ExtremalKind.ETA, ExtremalKind.S):
-        seqs = set(enumerate_extremal(g, kind).sequences)
+    for crit in (Criterion.SHORT, Criterion.EXACT_EXP):
+        seqs = set(enumerate_extremal(g, crit)[0])
         for p in automorphisms(g):
             for s in seqs:
                 items = [(g.element_at(p[e.index]), k) for e, k in s.items()]
@@ -382,7 +407,7 @@ def test_s_extremals_shift_covariant():
     from zerosum import shift
 
     g = GroupSpec(2, 4)
-    seqs = set(enumerate_extremal(g, ExtremalKind.S).sequences)
+    seqs = set(enumerate_extremal(g, Criterion.EXACT_EXP)[0])
     for s in seqs:
         for h in g.elements():
             assert shift(h, s) in seqs
