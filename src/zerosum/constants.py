@@ -10,9 +10,12 @@ cyclic groups):
 D and s_{exp(G)N} are the cases k = 1 and k = exp(G) of s_{kN}, the
 constant that forbids zero-sums of every length divisible by k
 (Gao-Geroldinger); criteria._stepper decides both on one table of sums by
-length mod k.  longest_lacking() recomputes each constant by brute force as (maximum length
-of a sequence lacking the criterion) + 1 and reports the least extremal
-sequence.
+length mod k.  longest_lacking() recomputes each constant by brute force as
+(maximum length of a sequence lacking the criterion) + 1 and reports the
+least extremal sequence.  check_direct_formulas() gets the four from two
+walks: a D-lacking (zero-sum free) sequence lacks eta's short zero-sums,
+and an s_{exp(G)N}-lacking one lacks s's zero-sums of length exp(G), so
+eta's walk also tallies D and s's walk s_{exp(G)N} (search._PAIRED).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 from .criteria import Criterion, formula_value, lacks
 from .groups import GroupSpec
-from .search import SearchOptions, longest_lacking_search
+from .search import _PAIRED, SearchOptions, _search, longest_lacking_search
 from .sequences import Sequence
 
 
@@ -89,16 +92,19 @@ def longest_lacking(
     them all.  A search cut short by the node budget reports only a lower
     bound (see SearchReport).
     """
-    formula = formula_value(group, criterion)
     start = time.perf_counter()
     out = longest_lacking_search(group, criterion, options)
-    elapsed = (time.perf_counter() - start) * 1000.0
+    return _report(group, criterion, out, (time.perf_counter() - start) * 1000.0)
+
+
+def _report(group: GroupSpec, criterion: Criterion, out, elapsed: float) -> SearchReport:
+    """The SearchReport of a search outcome, out, whose walk took elapsed ms."""
     kept = [out.least] if out.complete else []
     return SearchReport(
         group=group,
         criterion=criterion,
         lower_bound=out.max_length + 1,
-        formula_constant=formula,
+        formula_constant=formula_value(group, criterion),
         extremal_examples=[Sequence(group, c) for c in kept],
         nodes_visited=out.nodes,
         elapsed_ms=elapsed,
@@ -109,9 +115,22 @@ def longest_lacking(
 def check_direct_formulas(
     group: GroupSpec, options: SearchOptions | None = None
 ) -> tuple[bool, list[SearchReport]]:
-    """Search all four constants and compare each with its closed formula.
+    """Search all four constants in two walks (see the module docstring) and
+    compare each with its closed formula.
 
-    A mismatch would falsify the implementation, not the formulas.
+    Every report is the one longest_lacking gives, nodes included; both
+    reports of a walk carry its time.  A walk cut short by the budget proves
+    nothing of its inner constant, which is then searched alone.  A mismatch
+    would falsify the implementation, not the formulas.
     """
-    reports = [longest_lacking(group, c, options) for c in Criterion]
-    return all(r.matches_formula for r in reports), reports
+    reports = {}
+    for outer, inner in _PAIRED.items():
+        start = time.perf_counter()
+        outcomes = _search(group, (outer, inner), options)
+        elapsed = (time.perf_counter() - start) * 1000.0
+        for criterion, out in zip((outer, inner), outcomes):
+            reports[criterion] = _report(group, criterion, out, elapsed)
+        if inner not in reports:
+            reports[inner] = longest_lacking(group, inner, options)
+    ordered = [reports[c] for c in Criterion]
+    return all(r.matches_formula for r in ordered), ordered

@@ -295,13 +295,35 @@ def _aut_rows(group: GroupSpec):
 
 def least_image(counts, group: GroupSpec, bound: tuple | None = None) -> tuple | None:
     """min(counts, *(g(counts) for g in aut_getters(group))) as a tuple; with
-    a bound, None as soon as that minimum is known to be >= bound.
+    a bound, None as soon as that minimum is known to be >= bound.  Any one
+    of the getters _ties leaves gives the image."""
+    found = _ties(counts, group, bound)
+    if found is None:
+        return None
+    alive, tight = found
+    image = _aut_rows(group)[0][alive.bit_length() - 1](counts)
+    return None if tight and image >= bound else image
 
-    Keeps as one int bitset the getters tied for the least prefix.  At
-    position j the least count is 0 if a tied getter reads outside the
+
+def _orbit_size(counts, group: GroupSpec) -> int:
+    """The size of the Aut(G)-orbit of counts: |Aut(G)| over the number of
+    getters that map counts to its least image (a coset of the image's
+    stabilizer)."""
+    return len(_aut_rows(group)[0]) // _ties(counts, group)[0].bit_count()
+
+
+def _ties(counts, group: GroupSpec, bound: tuple | None = None):
+    """(alive, tight): alive is the int bitset of the getters of _aut_rows
+    that map counts to its least image; tight is true iff a bound is given
+    and every count of the image read here equals bound's, so the image
+    still needs a compare with bound.  None as soon as the image is known
+    to be above bound.
+
+    At position j the least count is 0 if a tied getter reads outside the
     support, else the least support count a tied getter reads; the getters
-    that read it stay, and a lone one left finishes the image.  One row's
-    sets are disjoint (a getter reads one index), so sum is their union.
+    that read it stay.  A lone one left, or those left after the last
+    position, give the least image.  One row's sets are disjoint (a getter
+    reads one index), so sum is their union.
     """
     getters, rows = _aut_rows(group)
     support = [v for v, c in enumerate(counts) if c]
@@ -323,6 +345,4 @@ def least_image(counts, group: GroupSpec, bound: tuple | None = None) -> tuple |
             if c > bound[j]:
                 return None
             tight = c == bound[j]
-    # One getter is left, or those left tie everywhere: any one gives the image.
-    image = getters[alive.bit_length() - 1](counts)
-    return None if tight and image >= bound else image
+    return alive, tight

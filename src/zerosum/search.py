@@ -39,6 +39,13 @@ one sequence and stops at the first node of a target length.  The node
 budget caps the nodes one search visits, so a search cut short reports
 exactly that many.
 
+A paired walk (_search) also tallies an inner criterion whose tree is part
+of the outer one's (_PAIRED: D inside eta, s_exp_mult inside s): the inner
+stepper state rides in the state while the node lacks the inner criterion,
+and both outcomes, nodes included, are those of walks of their own.  The
+budget counts the outer nodes, so a paired walk cut short keeps only the
+outer outcome.
+
 With workers > 1, where the platform can fork, the parent walks from the
 root down to depth _SPLIT_DEPTH and that many forked processes pull the
 subtrees below it, one at a time, until none is left (the split is nauty
@@ -60,7 +67,8 @@ from ._bits import neg_table, shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
 from .criteria import Criterion, _shared_stepper, _stepper, formula_value  # noqa: F401
 from .groups import (
-    AUT_ENUMERATION_MAX_ORDER, GroupSpec, aut_getters, aut_permutations, least_image,
+    AUT_ENUMERATION_MAX_ORDER, GroupSpec, _orbit_size, aut_getters, aut_permutations,
+    least_image,
 )
 from .sequences import Sequence
 
@@ -153,10 +161,11 @@ class SearchOutcome:
         """len(sequences) of a complete search, as the summed sizes of its
         automorphism classes: the maximal tables of a complete search are
         closed under Aut(G), and classes lists the least table of each class.
-        (A search cut short keeps tables that need not be; only
+        A class's size is |Aut(G)| over its least table's stabilizer, the
+        getters tied at the end of least_image (groups._orbit_size).  (A
+        search cut short keeps tables that need not be closed; only
         check_property reads this, and only on complete runs.)"""
-        getters = (tuple, *aut_getters(self.group))
-        return sum(len({g(c) for g in getters}) for c in self.classes)
+        return sum(_orbit_size(c, self.group) for c in self.classes)
 
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
@@ -305,22 +314,53 @@ class _TargetReached(Exception):
     pass
 
 
-class _Ctx:
-    """One walk's constants and tallies.  A node of length limit is not
-    visited but appended to frontier or, with no frontier, ends the walk
-    (_TargetReached); limit None walks the whole subtree.  With prune the
-    walk keeps only orbit-minimal nodes, by the packed test (guards, deltas)
-    where _packed_bits is at most _PACKED_MAX_BITS and by the trie above."""
+class _Tally:
+    """One criterion's tallies in a walk: the nodes it visited, the deepest
+    length so far with the tables of that length, and the depth cap (the
+    closed formula + 2, see longest_lacking_search)."""
+
+    __slots__ = ("cap", "nodes", "best", "best_list")
+
+    def __init__(self, group, criterion):
+        self.cap = formula_value(group, criterion) + 2
+        self.nodes = 0
+        self.best = -1
+        self.best_list: list[tuple[int, ...]] = []
+
+    def record(self, counts, length) -> None:
+        """Keep counts, a node of length >= best."""
+        if length > self.best:
+            if length > self.cap:
+                raise RuntimeError(
+                    f"search depth {length} exceeded the safety cap {self.cap}: "
+                    "this indicates an implementation bug"
+                )
+            self.best = length
+            self.best_list = [tuple(counts)]
+        else:
+            self.best_list.append(tuple(counts))
+
+
+class _Ctx(_Tally):
+    """One walk's constants and the tallies of its criterion, criteria[0].
+    A node of length limit is not visited but appended to frontier or, with
+    no frontier, ends the walk (_TargetReached); limit None walks the whole
+    subtree.  With prune the walk keeps only orbit-minimal nodes, by the
+    packed test (guards, deltas) where _packed_bits is at most
+    _PACKED_MAX_BITS and by the trie above.
+
+    A paired walk, criteria = (outer, inner), also tallies inner in
+    self.inner; its states carry the inner stepper state third (_paired_push)."""
 
     __slots__ = (
-        "size", "neg", "push", "caps", "guards", "deltas", "trie", "budget", "cap", "limit",
-        "frontier", "nodes", "best", "best_list", "complete",
+        "size", "neg", "push", "caps", "guards", "deltas", "trie", "budget", "limit",
+        "frontier", "complete", "inner",
     )
 
-    def __init__(self, group, criterion, caps, prune, budget, cap, limit=None, frontier=None):
+    def __init__(self, group, criteria, caps, prune, budget, limit=None, frontier=None):
+        super().__init__(group, criteria[0])
         self.size = group.order
         self.neg = neg_table(group)
-        self.push = _shared_stepper(group, criterion)[1]
         self.caps = caps
         self.guards = self.deltas = self.trie = None
         if prune:
@@ -330,17 +370,45 @@ class _Ctx:
             else:
                 self.trie = _orbit_table(group)
         self.budget = budget
-        self.cap = cap
         self.limit = limit
         self.frontier = frontier
-        self.nodes = 0
-        self.best = -1
-        self.best_list: list[tuple[int, ...]] = []
         self.complete = True
+        if len(criteria) > 1:
+            self.push = _paired_push(group, *criteria)
+            self.inner = _Tally(group, criteria[1])
+        else:
+            self.push = _shared_stepper(group, criteria[0])[1]
+            self.inner = None
 
     def orbit_value(self, counts):
         """The packed value of counts for _dfs, None off the packed test."""
         return None if self.deltas is None else _packed_value(counts, self.guards, self.deltas)
+
+
+# outer -> inner: a sequence that lacks the inner criterion lacks the outer
+# one (a zero-sum-free sequence has no short zero-sum, and one without a
+# zero-sum of any length divisible by exp has none of length exp), and both
+# take the same reductions.  So the inner criterion's tree is the subtree of
+# the outer's nodes that lack it, in the same DFS order.
+_PAIRED = {Criterion.SHORT: Criterion.ANY, Criterion.EXACT_EXP: Criterion.EXP_MULTIPLE}
+
+
+@lru_cache(maxsize=None)
+def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
+    """The push of a paired walk: a state is (blocked, packed) of outer and,
+    third, inner's state while the node lacks inner, None after."""
+    push_outer = _shared_stepper(group, outer)[1]
+    push_inner = _shared_stepper(group, inner)[1]
+    neg = neg_table(group)
+
+    def push_both(state, e):
+        s = state[2]
+        if s is not None:
+            s = None if (s[0] >> neg[e]) & 1 else push_inner(s, e)
+        o = push_outer(state, e)
+        return (o[0], o[1], s)
+
+    return push_both
 
 
 def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) -> None:
@@ -354,16 +422,12 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
         raise _BudgetExhausted
     ctx.nodes += 1
     if length >= ctx.best:
-        if length > ctx.best:
-            if length > ctx.cap:
-                raise RuntimeError(
-                    f"search depth {length} exceeded the safety cap {ctx.cap}: "
-                    "this indicates an implementation bug"
-                )
-            ctx.best = length
-            ctx.best_list = [tuple(counts)]
-        else:
-            ctx.best_list.append(tuple(counts))
+        ctx.record(counts, length)
+    inner = ctx.inner
+    if inner is not None and state[2] is not None:
+        inner.nodes += 1
+        if length >= inner.best:
+            inner.record(counts, length)
     blocked = state[0]
     neg = ctx.neg
     caps = ctx.caps
@@ -391,47 +455,53 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
 
 def _walk(ctx: _Ctx, top):
     """Walk the subtree below top, the root or a frontier node (counts,
-    state, start) of length sum(counts): (best, best_list, nodes, complete)."""
+    state, start) of length sum(counts): one (best, best_list, nodes,
+    complete) per criterion of ctx, the outer one's first."""
     counts0, state, start = top
     try:
         _dfs(ctx, list(counts0), state, start, sum(counts0), ctx.orbit_value(counts0))
     except _BudgetExhausted:
         ctx.complete = False
-    return ctx.best, ctx.best_list, ctx.nodes, ctx.complete
+    return [(t.best, t.best_list, t.nodes, ctx.complete) for t in (ctx, ctx.inner) if t is not None]
 
 
-def _run_subtree(group, criterion, top, prune, budget, cap):
-    return _walk(_Ctx(group, criterion, None, prune, budget, cap), top)
+def _run_subtree(group, criteria, top, prune, budget):
+    return _walk(_Ctx(group, criteria, None, prune, budget), top)
 
 
 def _merge(parts):
-    """Join the (best, best_list, nodes, complete) of walks over disjoint subtrees."""
-    best, best_list, nodes, complete = -1, [], 0, True
-    for b, bl, nn, comp in parts:
-        nodes += nn
-        complete = complete and comp
-        if b > best:
-            best = b
-            best_list = list(bl)
-        elif b == best:
-            best_list.extend(bl)
-    return best, best_list, nodes, complete
+    """Join the _walk results of walks over disjoint subtrees, criterion by criterion."""
+    merged = []
+    for walks in zip(*parts):
+        best, best_list, nodes, complete = -1, [], 0, True
+        for b, bl, nn, comp in walks:
+            nodes += nn
+            complete = complete and comp
+            if b > best:
+                best = b
+                best_list = list(bl)
+            elif b == best:
+                best_list.extend(bl)
+        merged.append((best, best_list, nodes, complete))
+    return merged
 
 
-def _forked_search(root, workers, group, criterion, prune, budget, cap):
+def _forked_search(root, workers, group, criteria, prune, budget):
     """_run_subtree(..., root, ...), with the subtrees below depth
     _SPLIT_DEPTH run by forked workers; the parent runs none of them.  A
     split search whose parts pass the budget or include a walk cut short is
-    walked again in one process, so its result is a single walk's, cut for cut."""
-    ctx = _Ctx(group, criterion, None, prune, budget, cap, _SPLIT_DEPTH, [])
+    walked again in one process, so its result is a single walk's, cut for
+    cut."""
+    ctx = _Ctx(group, criteria, None, prune, budget, _SPLIT_DEPTH, [])
     head = _walk(ctx, root)
     if ctx.complete:
         # A subtree past what the head leaves of the budget sends the search back anyway.
-        tasks = [(group, criterion, sub, prune, budget - ctx.nodes, cap) for sub in ctx.frontier]
+        tasks = [(group, criteria, sub, prune, budget - ctx.nodes) for sub in ctx.frontier]
         merged = _merge([head, *_run_forked(tasks, workers)])
-        if merged[3] and merged[2] <= budget:
+        _, _, nodes, complete = merged[0]
+        if complete and nodes <= budget:
             return merged
-    return _run_subtree(group, criterion, root, prune, budget, cap)
+    return _run_subtree(group, criteria, root, prune, budget)
 
 
 def _can_fork() -> bool:
@@ -519,9 +589,17 @@ def longest_lacking_search(
     constant's closed formula + 2 (formula_value) raises RuntimeError: the
     deepest node has length formula - 1, so such a node is a bug.
     """
-    opts = options or SearchOptions()
-    cap = formula_value(group, criterion) + 2
+    return _search(group, (criterion,), options)[0]
 
+
+def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> list[SearchOutcome]:
+    """longest_lacking_search for criteria[0], or for both criteria of a pair
+    (outer, _PAIRED[outer]) in one walk: a SearchOutcome per criterion, each
+    the one longest_lacking_search returns.  A paired walk cut short by the
+    budget returns the outer outcome only (the walk of its own is cut at the
+    same node); the inner criterion must then be searched alone."""
+    opts = options or SearchOptions()
+    criterion = criteria[0]
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
     prune = opts.aut_pruning and group.order <= AUT_ENUMERATION_MAX_ORDER
 
@@ -531,17 +609,23 @@ def longest_lacking_search(
         # automorphism fixes, so the root keeps one child, {0} (blocked on C1
         # all the same), and blocks the rest.  The pushes of EXACT_EXP and
         # EXP_MULTIPLE rebuild the blocked set from the packed rows, so no
-        # node below the root sees these blocks.
+        # node below the root sees these blocks.  The outer blocked set
+        # decides the children of a paired walk, so its inner state needs none.
         state0 = (state0[0] | (((1 << group.order) - 1) ^ 1), state0[1])
+    state0 += tuple(_shared_stepper(group, c)[0] for c in criteria[1:])
     root = ((0,) * group.order, state0, 0)
     if opts.workers > 1 and _can_fork():
-        found = _forked_search(root, opts.workers, group, criterion, prune, opts.node_budget, cap)
+        found = _forked_search(root, opts.workers, group, criteria, prune, opts.node_budget)
     else:  # one worker, or a platform that cannot fork
-        found = _run_subtree(group, criterion, root, prune, opts.node_budget, cap)
-    best, best_list, nodes, complete = found
+        found = _run_subtree(group, criteria, root, prune, opts.node_budget)
+    if not found[0][3]:
+        found = found[:1]
 
     reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())
-    return SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, *reductions)
+    return [
+        SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, *reductions)
+        for best, best_list, nodes, complete in found
+    ]
 
 
 def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_length: int) -> bool:
@@ -557,7 +641,7 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
     if target_length > len(seq):
         return False
     state0 = _shared_stepper(seq.group, criterion)[0]
-    ctx = _Ctx(seq.group, criterion, seq.counts, False, math.inf, target_length, target_length)
+    ctx = _Ctx(seq.group, (criterion,), seq.counts, False, math.inf, target_length)
     try:
         _dfs(ctx, [0] * ctx.size, state0, 0, 0, None)
     except _TargetReached:

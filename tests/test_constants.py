@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -106,6 +107,58 @@ def test_unreduced_search_visits_exactly_the_lacking_downset():
         assert out.max_length == max(len(s) for s in downset) == target
         expected_extremals = sorted(s.counts for s in downset if len(s) == target)
         assert out.sequences == expected_extremals
+
+
+def _same_report(r):
+    return r.to_json(include_volatile=False), r.nodes_visited
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (3, 6)])
+def test_paired_walks_report_what_single_searches_do(n1, n2):
+    # check_direct_formulas walks D inside eta's walk and s_exp_mult inside
+    # s's; every report must be longest_lacking's, nodes included, under
+    # every setting (unpruned ones on ORACLE_GROUPS_16 only) and budget.
+    # The budgets: 0; half D's nodes, which cuts both walks of each pair;
+    # D's nodes, which cuts eta's walk but not D's where eta has more nodes
+    # (and both s walks); and a cap that cuts neither where the setting's
+    # walks fit in it.  The cap is 62,000 nodes on the default settings of
+    # the noncyclic groups, so C3+C6 and C2+C8 (s: 7,924 and 61,464 nodes)
+    # walk in full, and 2,000 elsewhere.  Forked workers walk every subtree
+    # up to the budget left before they fall back to one process, so two
+    # workers run only where the walks fit in the cap, and only on D's
+    # nodes (a cut that sends the split walk back to one process) and the
+    # cap.  Their reports must be the one-worker searches' (outputs do not
+    # depend on workers).
+    group = GroupSpec(n1, n2)
+    pruning = (True, False) if (n1, n2) in ORACLE_GROUPS_16 else (True,)
+    for prune, shiftn in product(pruning, (True, False)):
+        opts = partial(SearchOptions, aut_pruning=prune, shift_normalize=shiftn)
+        cap = 62_000 if prune and shiftn and n1 > 1 else 2_000
+        capped = [longest_lacking(group, c, opts(node_budget=cap)) for c in Criterion]
+        d_nodes = capped[0].nodes_visited
+        for budget in sorted({0, d_nodes // 2, d_nodes, cap}):
+            single = capped if budget == cap else [
+                longest_lacking(group, c, opts(node_budget=budget)) for c in Criterion]
+            forks = budget >= d_nodes and all(r.complete for r in capped)
+            for workers in ((1, 2) if forks else (1,)):
+                ok, paired = check_direct_formulas(group, opts(node_budget=budget, workers=workers))
+                key = (prune, shiftn, workers, budget)
+                assert [_same_report(r) for r in paired] == [_same_report(r) for r in single], key
+                assert ok == all(r.matches_formula for r in single), key
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_between_the_s_walks_cuts_s_only(workers):
+    # C3+C6 s visits 7,924 nodes and s_exp_mult 7,823: a budget of 7,850
+    # cuts the paired walk, so s_exp_mult is walked again alone, in full.
+    # The reports of one shared walk carry its time, D's and eta's here.
+    group = GroupSpec(3, 6)
+    ok, reports = check_direct_formulas(group, SearchOptions(workers=workers, node_budget=7_850))
+    d, eta, s, s_mult = reports
+    assert not ok
+    assert (s.nodes_visited, s.complete) == (7_850, False)
+    assert (s_mult.nodes_visited, s_mult.complete, s_mult.computed_constant) == (7_823, True, 13)
+    assert d.complete and eta.complete and d.elapsed_ms == eta.elapsed_ms
 
 
 def test_exists_lacking_subsequence_matches_brute_force():

@@ -16,7 +16,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -173,6 +173,30 @@ def test_reduced_search_matches_unreduced(n1, n2):
                     assert out.orbit_count == len(base.sequences), key
                     assert out.classes == classes, key
                     assert out.sequences == base.sequences, key
+
+
+SLICE_GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (2, 8), (5, 5)]
+
+
+@pytest.mark.parametrize("n1,n2", SLICE_GROUPS)
+def test_slice_identities(n1, n2):
+    # T -> 0^(exp-1) T maps the eta-extremals onto the s-extremals with
+    # exp - 1 zeros, and the D-extremals onto those s_exp_mult-extremals: a
+    # zero-sum of T pads with zeros to a forbidden length, so T holds no 0,
+    # and s - eta = s_exp_mult - D = exp - 1.  Automorphisms fix 0, so the
+    # maps carry automorphism classes to classes.  The eta and D searches
+    # take no translation reduction, so this pins the s searches to searches
+    # that a change to that reduction leaves alone.  Default options, and
+    # every setting on the groups of order <= 12.
+    group = GroupSpec(n1, n2)
+    exp = group.exponent
+    settings = product((True, False), (True, False), (1, 2)) if group.order <= 12 else [(True, True, 1)]
+    for prune, shiftn, workers in settings:
+        opts = SearchOptions(aut_pruning=prune, shift_normalize=shiftn, workers=workers)
+        for short, padded in ((Criterion.SHORT, Criterion.EXACT_EXP), (Criterion.ANY, Criterion.EXP_MULTIPLE)):
+            a, b = (longest_lacking_search(group, c, opts) for c in (short, padded))
+            sliced = sorted((0,) + c[1:] for c in b.classes if c[0] == exp - 1)
+            assert a.classes == sliced, (short, prune, shiftn, workers)
 
 
 @pytest.mark.parametrize("crit", list(Criterion))
