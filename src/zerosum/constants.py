@@ -15,7 +15,7 @@ length mod k.  longest_lacking() recomputes each constant by brute force as
 least extremal sequence.  check_direct_formulas() gets the four from two
 walks: a D-lacking (zero-sum free) sequence lacks eta's short zero-sums,
 and an s_{exp(G)N}-lacking one lacks s's zero-sums of length exp(G), so
-eta's walk also tallies D and s's walk s_{exp(G)N} (search._PAIRED).
+eta's walk also tallies D and s's walk s_{exp(G)N} (criteria._PAIRED).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .criteria import Criterion, formula_value, lacks
+from .criteria import _PAIRED, Criterion, formula_value, lacks
 from .groups import GroupSpec
-from .search import _PAIRED, SearchOptions, _search, longest_lacking_search
+from .search import SearchOptions, _search, longest_lacking_search
 from .sequences import Sequence
 
 

@@ -11,7 +11,11 @@ has_zero_sum_of_length() and witness() run on it.
 Both tables pack their rows into one integer, row l at bits
 [l*|G|, (l+1)*|G|), so adding a term translates every row with one
 shift_mask call on the repeated-row masks of _bits.row_parts (one table per
-group, rebuilt with twice the rows when a caller needs more).
+group, rebuilt with twice the rows when a caller needs more).  The
+stepper's rows hold negated sums, so its blocked set is a set of elements:
+those whose append completes a forbidden zero-sum, read off as bit e.  A
+paired walk of the search (_PAIRED) pushes both of its steppers with one
+shift_mask call (_paired_push).
 """
 
 from __future__ import annotations
@@ -72,23 +76,51 @@ def formula_value(group: GroupSpec, criterion: Criterion) -> int:
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
+def _neg_parts(group: GroupSpec, rows: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """row_parts(group, rows) permuted through neg_table: entry e translates by -e."""
+    parts = row_parts(group, rows)
+    return tuple(parts[n] for n in neg_table(group))
+
+
+def _short_folds(exp: int, size: int) -> tuple[int, ...]:
+    """Shifts that fold exp rows onto row 0, halving (rounded up) the live
+    rows per step; bits above the live rows are ORs of genuine rows, so
+    harmless once the result is cut to row 0."""
+    folds = []
+    live = exp
+    while live > 1:
+        live = (live + 1) // 2
+        folds.append(live * size)
+    return tuple(folds)
+
+
+def _singles(group: GroupSpec, k: int) -> tuple[int, ...]:
+    """singles[e]: the bit of -e in row 1 mod k, the one-term subsequence e."""
+    row1 = (1 % k) * group.order
+    return tuple(1 << (row1 + n) for n in neg_table(group))
+
+
 def _stepper(group: GroupSpec, criterion: Criterion):
     """Per-criterion incremental state.
 
-    A state's first entry is the "blocked" set: appending e creates a
-    forbidden zero-sum iff -e lies in it.  The second entry packs the rows
-    needed to maintain it into one integer, row l at bits [l*|G|, (l+1)*|G|)
-    (see _bits): reachable sums by subsequence length l < exp for
-    SHORT/EXACT_EXP; nonempty sums by length l mod k for ANY (k = 1: every
-    length is a multiple of 1) and EXP_MULTIPLE (k = exp).  One push
-    translates every row with one shift_mask call.
+    A state's first entry is the "blocked" set: the elements e whose append
+    completes a forbidden zero-sum.  The second entry packs the rows needed
+    to maintain it into one integer, row l at bits [l*|G|, (l+1)*|G|) (see
+    _bits), and the rows hold negated sums: bit -x of row l for each sum x
+    of a subsequence of length l, so appending e closes a zero-sum of length
+    l + 1 iff bit e of row l is set, and the blocked set is a row, or an OR
+    of rows, as it stands.  The rows are: reachable sums by subsequence
+    length l < exp for SHORT/EXACT_EXP; nonempty sums by length l mod k for
+    ANY (k = 1: every length is a multiple of 1) and EXP_MULTIPLE (k = exp).
+    Appending e moves every negated sum by -e, so one push translates every
+    row with one shift_mask call on parts[e], the parts of -e (_neg_parts).
     """
     size = group.order
     exp = group.exponent
     top = (exp - 1) * size  # bit offset of row exp-1
 
     if criterion is Criterion.EXACT_EXP:
-        parts = row_parts(group, exp - 1)
+        parts = _neg_parts(group, exp - 1)
         below_top = (1 << top) - 1
 
         def push(state, e):
@@ -99,15 +131,9 @@ def _stepper(group: GroupSpec, criterion: Criterion):
         return (1 if exp == 1 else 0, 1), push
 
     if criterion is Criterion.SHORT:
-        parts = row_parts(group, exp - 1)
+        parts = _neg_parts(group, exp - 1)
         below_top = (1 << top) - 1
-        # Fold the exp rows onto row 0, halving (rounded up) the live rows per
-        # step; bits above the live rows are ORs of genuine rows, so harmless.
-        folds = []
-        live = exp
-        while live > 1:
-            live = (live + 1) // 2
-            folds.append(live * size)
+        folds = _short_folds(exp, size)
         row0 = (1 << size) - 1
 
         def push(state, e):
@@ -121,18 +147,18 @@ def _stepper(group: GroupSpec, criterion: Criterion):
         return (1, 1), push
 
     k = 1 if criterion is Criterion.ANY else exp
-    top = (k - 1) * size  # row k-1: its sums complete a forbidden length
-    parts = row_parts(group, k)
+    top = (k - 1) * size  # row k-1: its elements complete a forbidden length
+    parts = _neg_parts(group, k)
     all_rows = (1 << (k * size)) - 1
-    # The singleton e sits in row 1 mod k; with k == 1 the only row is also
-    # the top one and the empty subsequence blocks 0 (hence `low`).
-    row1 = (1 % k) * size
+    # The singleton e adds -e to row 1 mod k; with k == 1 the only row is
+    # also the top one and the empty subsequence blocks 0 (hence `low`).
+    singles = _singles(group, k)
     low = 1 if k == 1 else 0
 
     def push(state, e):
         packed = state[1]
         x = shift_mask(packed, parts[e])
-        packed |= ((x << size) & all_rows) | (x >> top) | (1 << (row1 + e))
+        packed |= ((x << size) & all_rows) | (x >> top) | singles[e]
         return ((packed >> top) | low, packed)
 
     return (low, 0), push
@@ -142,6 +168,74 @@ def _stepper(group: GroupSpec, criterion: Criterion):
 def _shared_stepper(group: GroupSpec, criterion: Criterion):
     """_stepper(group, criterion), built once: states are tuples and push is pure."""
     return _stepper(group, criterion)
+
+
+# outer -> inner: a sequence that lacks the inner criterion lacks the outer
+# one (a zero-sum-free sequence has no short zero-sum, and one without a
+# zero-sum of any length divisible by exp has none of length exp), and both
+# take the same reductions.  So the inner criterion's tree is the subtree of
+# the outer's nodes that lack it, in the same DFS order.
+_PAIRED = {Criterion.SHORT: Criterion.ANY, Criterion.EXACT_EXP: Criterion.EXP_MULTIPLE}
+
+
+@lru_cache(maxsize=None)
+def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
+    """The push of a paired walk, inner = _PAIRED[outer]: a state is outer's
+    (blocked, packed) and, third, inner's state while the node lacks inner,
+    None after.  While inner is alive, outer's rows below its top row and
+    inner's k rows sit side by side in one integer (inner's from row exp-1
+    on), one shift_mask translates both, and each finishes as its own push
+    in _stepper does; after, or when inner blocks e, outer's push runs alone.
+    """
+    push_outer = _shared_stepper(group, outer)[1]
+    size = group.order
+    exp = group.exponent
+    k = 1 if inner is Criterion.ANY else exp
+    top = (exp - 1) * size  # outer's top row, where inner's rows start
+    below_top = (1 << top) - 1
+    parts = _neg_parts(group, exp - 1 + k)
+    inner_top = (k - 1) * size
+    inner_rows = (1 << (k * size)) - 1
+    singles = _singles(group, k)
+    low = 1 if k == 1 else 0
+
+    # One closure per outer shape, as in _stepper: outer's blocked set is
+    # row exp-1 for EXACT_EXP and rows 0..exp-1 folded onto row 0 for SHORT.
+    if outer is Criterion.EXACT_EXP:
+
+        def push_both(state, e):
+            s = state[2]
+            if s is None or (s[0] >> e) & 1:
+                o = push_outer(state, e)
+                return (o[0], o[1], None)
+            packed = state[1]
+            x = shift_mask((packed & below_top) | (s[1] << top), parts[e])
+            packed |= (x & below_top) << size
+            y = x >> top
+            packed_in = s[1] | ((y << size) & inner_rows) | (y >> inner_top) | singles[e]
+            return (packed >> top, packed, ((packed_in >> inner_top) | low, packed_in))
+
+        return push_both
+
+    folds = _short_folds(exp, size)
+    row0 = (1 << size) - 1
+
+    def push_both(state, e):
+        s = state[2]
+        if s is None or (s[0] >> e) & 1:
+            o = push_outer(state, e)
+            return (o[0], o[1], None)
+        packed = state[1]
+        x = shift_mask((packed & below_top) | (s[1] << top), parts[e])
+        packed |= (x & below_top) << size
+        y = x >> top
+        packed_in = s[1] | ((y << size) & inner_rows) | (y >> inner_top) | singles[e]
+        b = packed
+        for f in folds:
+            b |= b >> f
+        return (b & row0, packed, ((packed_in >> inner_top) | low, packed_in))
+
+    return push_both
 
 
 def _knapsack_stages(seq: Sequence, limit: int):
@@ -174,10 +268,9 @@ def lacks(seq: Sequence, criterion: Criterion) -> bool:
     the first term that would complete a forbidden zero-sum.
     """
     state, push = _shared_stepper(seq.group, criterion)
-    neg = neg_table(seq.group)
     for e, mult in enumerate(seq.counts):
         for _ in range(mult):
-            if (state[0] >> neg[e]) & 1:
+            if (state[0] >> e) & 1:
                 return False
             state = push(state, e)
     return True

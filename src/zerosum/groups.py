@@ -126,9 +126,6 @@ class Element:
         """Position in the fixed lexicographic order on (a, b)."""
         return self.a * self.group.n2 + self.b
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def _require_same_group(self, other: "Element") -> None:
         if self.group != other.group:
             raise ValueError(f"elements of different groups: {self.group} vs {other.group}")

@@ -33,18 +33,22 @@ from the representatives and their translates by groups.least_image, and its
 size from the classes, without the orbit.
 
 Each node extends its parent's state by one push of the criterion's stepper
-(criteria._stepper).  One DFS (_dfs) serves every walk: a search is one walk
-from the root, and exists_lacking_subsequence() walks the sub-multisets of
-one sequence and stops at the first node of a target length.  The node
-budget caps the nodes one search visits, so a search cut short reports
-exactly that many.
+(criteria._stepper), whose blocked set holds the elements that no child may
+append.  A node's children are the set bits of one free-element mask, the
+elements from the node's last one on less the blocked set, lowest first:
+the order of a loop over the elements, but a node with none runs no loop.
+One DFS (_dfs) serves every walk: a search is one walk from the root, and
+exists_lacking_subsequence() walks the sub-multisets of one sequence and
+stops at the first node of a target length.  The node budget caps the nodes
+one search visits, so a search cut short reports exactly that many.
 
 A paired walk (_search) also tallies an inner criterion whose tree is part
-of the outer one's (_PAIRED: D inside eta, s_exp_mult inside s): the inner
-stepper state rides in the state while the node lacks the inner criterion,
-and both outcomes, nodes included, are those of walks of their own.  The
-budget counts the outer nodes, so a paired walk cut short keeps only the
-outer outcome.
+of the outer one's (criteria._PAIRED: D inside eta, s_exp_mult inside s):
+the inner stepper state rides in the state while the node lacks the inner
+criterion, and while it does, one shift_mask call pushes both
+(criteria._paired_push).  Both outcomes, nodes included, are those of walks
+of their own.  The budget counts the outer nodes, so a paired walk cut
+short keeps only the outer outcome.
 
 With workers > 1, where the platform can fork, the parent walks from the
 root down to depth _SPLIT_DEPTH and that many forked processes pull the
@@ -63,9 +67,11 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional
 
-from ._bits import neg_table, shift_getters
+from ._bits import shift_getters
 # _stepper stays importable from here: perfbench finds the push closures through it.
-from .criteria import Criterion, _shared_stepper, _stepper, formula_value  # noqa: F401
+from .criteria import (  # noqa: F401
+    Criterion, _paired_push, _shared_stepper, _stepper, formula_value,
+)
 from .groups import (
     AUT_ENUMERATION_MAX_ORDER, GroupSpec, _orbit_size, aut_getters, aut_permutations,
     least_image,
@@ -350,17 +356,17 @@ class _Ctx(_Tally):
     _PACKED_MAX_BITS and by the trie above.
 
     A paired walk, criteria = (outer, inner), also tallies inner in
-    self.inner; its states carry the inner stepper state third (_paired_push)."""
+    self.inner; its states carry the inner stepper state third
+    (criteria._paired_push)."""
 
     __slots__ = (
-        "size", "neg", "push", "caps", "guards", "deltas", "trie", "budget", "limit",
+        "from_mask", "push", "caps", "guards", "deltas", "trie", "budget", "limit",
         "frontier", "complete", "inner",
     )
 
     def __init__(self, group, criteria, caps, prune, budget, limit=None, frontier=None):
         super().__init__(group, criteria[0])
-        self.size = group.order
-        self.neg = neg_table(group)
+        self.from_mask = _from_masks(group.order)
         self.caps = caps
         self.guards = self.deltas = self.trie = None
         if prune:
@@ -385,30 +391,11 @@ class _Ctx(_Tally):
         return None if self.deltas is None else _packed_value(counts, self.guards, self.deltas)
 
 
-# outer -> inner: a sequence that lacks the inner criterion lacks the outer
-# one (a zero-sum-free sequence has no short zero-sum, and one without a
-# zero-sum of any length divisible by exp has none of length exp), and both
-# take the same reductions.  So the inner criterion's tree is the subtree of
-# the outer's nodes that lack it, in the same DFS order.
-_PAIRED = {Criterion.SHORT: Criterion.ANY, Criterion.EXACT_EXP: Criterion.EXP_MULTIPLE}
-
-
 @lru_cache(maxsize=None)
-def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
-    """The push of a paired walk: a state is (blocked, packed) of outer and,
-    third, inner's state while the node lacks inner, None after."""
-    push_outer = _shared_stepper(group, outer)[1]
-    push_inner = _shared_stepper(group, inner)[1]
-    neg = neg_table(group)
-
-    def push_both(state, e):
-        s = state[2]
-        if s is not None:
-            s = None if (s[0] >> neg[e]) & 1 else push_inner(s, e)
-        o = push_outer(state, e)
-        return (o[0], o[1], s)
-
-    return push_both
+def _from_masks(size: int) -> tuple[int, ...]:
+    """from_masks[start]: the bits of the elements start..size-1, a node's
+    candidate children."""
+    return tuple(((1 << size) - 1) >> start << start for start in range(size))
 
 
 def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) -> None:
@@ -428,17 +415,21 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
         inner.nodes += 1
         if length >= inner.best:
             inner.record(counts, length)
-    blocked = state[0]
-    neg = ctx.neg
+    # The children: the free elements from start on, lowest first, as a
+    # loop over range(start, size) would take them.
+    free = ctx.from_mask[start] & ~state[0]
+    if not free:
+        return
     caps = ctx.caps
     guards = ctx.guards
     deltas = ctx.deltas
     trie = ctx.trie
     push = ctx.push
     child = None
-    for e in range(start, ctx.size):
-        if (blocked >> neg[e]) & 1:
-            continue
+    while free:
+        bit = free & -free
+        free ^= bit
+        e = bit.bit_length() - 1
         if caps is not None and counts[e] >= caps[e]:
             continue
         if deltas is not None:
@@ -594,10 +585,11 @@ def longest_lacking_search(
 
 def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> list[SearchOutcome]:
     """longest_lacking_search for criteria[0], or for both criteria of a pair
-    (outer, _PAIRED[outer]) in one walk: a SearchOutcome per criterion, each
-    the one longest_lacking_search returns.  A paired walk cut short by the
-    budget returns the outer outcome only (the walk of its own is cut at the
-    same node); the inner criterion must then be searched alone."""
+    (outer, _PAIRED[outer], see the criteria module) in one walk: a
+    SearchOutcome per criterion, each the one longest_lacking_search
+    returns.  A paired walk cut short by the budget returns the outer
+    outcome only (the walk of its own is cut at the same node); the inner
+    criterion must then be searched alone."""
     opts = options or SearchOptions()
     criterion = criteria[0]
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
@@ -643,7 +635,7 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
     state0 = _shared_stepper(seq.group, criterion)[0]
     ctx = _Ctx(seq.group, (criterion,), seq.counts, False, math.inf, target_length)
     try:
-        _dfs(ctx, [0] * ctx.size, state0, 0, 0, None)
+        _dfs(ctx, [0] * seq.group.order, state0, 0, 0, None)
     except _TargetReached:
         return True
     return False

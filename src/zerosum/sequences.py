@@ -34,10 +34,6 @@ class Sequence:
             raise ValueError("negative multiplicity")
 
     @classmethod
-    def empty(cls, group: GroupSpec) -> "Sequence":
-        return cls(group, (0,) * group.order)
-
-    @classmethod
     def from_items(cls, group: GroupSpec, items: Iterable[tuple[Element, int]]) -> "Sequence":
         counts = [0] * group.order
         for e, k in items:
@@ -54,9 +50,6 @@ class Sequence:
     def multiplicity(self, e: Element) -> int:
         return self.counts[e.index]
 
-    def support(self) -> list[Element]:
-        return [self.group.element_at(i) for i, c in enumerate(self.counts) if c]
-
     def items(self) -> Iterator[tuple[Element, int]]:
         for i, c in enumerate(self.counts):
             if c:
@@ -64,12 +57,6 @@ class Sequence:
 
     def max_multiplicity(self) -> int:
         return max(self.counts)
-
-    def contains(self, sub: "Sequence") -> bool:
-        """True iff sub is a subsequence (sub-multiset) of this sequence."""
-        if self.group != sub.group:
-            raise ValueError("sequences over different groups")
-        return all(a >= b for a, b in zip(self.counts, sub.counts))
 
     def with_term(self, e: Element, k: int = 1) -> "Sequence":
         if e.group != self.group:

@@ -47,7 +47,7 @@ def oracle_order(e) -> int:
     """Element order by repeated addition."""
     k = 1
     acc = e
-    while not acc.is_zero():
+    while acc != e.group.zero:
         acc = acc + e
         k += 1
     return k
@@ -64,7 +64,7 @@ def grow_lacking(
     start: Sequence | None = None, patience: int = 30,
 ) -> Sequence:
     """Random sequence lacking the criterion, grown one admissible term at a time."""
-    seq = start if start is not None else Sequence.empty(group)
+    seq = start if start is not None else Sequence(group, (0,) * group.order)
     assert lacks(seq, criterion)
     elems = list(group.elements())
     misses = 0

@@ -15,7 +15,7 @@ from zerosum import (
     witness,
 )
 from zerosum import _bits, criteria
-from zerosum.criteria import _knapsack_stages, _stepper
+from zerosum.criteria import _PAIRED, _knapsack_stages, _paired_push, _stepper
 from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
 
 ORACLE_GROUPS = [GroupSpec(2, 2), GroupSpec(1, 5), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 12)]
@@ -36,6 +36,11 @@ def _reach_rows(reach: set, n2: int, rows: int) -> list[int]:
     return out
 
 
+def _negate(mask: int, neg) -> int:
+    """The set of -x for x in mask: bit i moves to bit neg[i]."""
+    return sum(1 << neg[i] for i in range(len(neg)) if (mask >> i) & 1)
+
+
 def _add_term(reach: set, e, n1: int, n2: int) -> set:
     return reach | {(l + 1, (a + e.a) % n1, (b + e.b) % n2) for l, a, b in reach}
 
@@ -43,9 +48,12 @@ def _add_term(reach: set, e, n1: int, n2: int) -> set:
 @pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (1, 36)])
 def test_packed_rows_match_subset_reach(n1, n2):
     """Every stepper state and knapsack stage unpacks to the brute-force
-    (length, sum) sets of its prefix, while the repeated-row table grows."""
+    (length, sum) sets of its prefix, while the repeated-row table grows.
+    Stepper rows hold negated sums and blocked sets hold elements, so the
+    brute-force sets go through neg_table before those comparisons."""
     group = GroupSpec(n1, n2)
     size, exp = group.order, group.exponent
+    neg = _bits.neg_table(group)
     rng = random.Random(97 * n1 + n2)
     terms = [group.element_at(rng.randrange(size)) for _ in range(2 * exp + 3)]
     _bits._ROW_PARTS.pop(group, None)
@@ -66,22 +74,23 @@ def test_packed_rows_match_subset_reach(n1, n2):
             reach = _add_term(reach, e, n1, n2)
             states = {c: steppers[c][1](states[c], e.index) for c in Criterion}
         by_len = _reach_rows(reach, n2, k + 1)
+        neg_by_len = [_negate(x, neg) for x in by_len]
         for c in Criterion:
             blocked = 0
-            for l, x in enumerate(by_len):
+            for l, x in enumerate(neg_by_len):
                 if blocks[c](l):
                     blocked |= x
             assert states[c][0] == blocked, (k, c)
         # ANY's one row: every nonempty sum (lengths mod 1, as EXP_MULTIPLE's mod exp).
         nonempty = 0
-        for x in by_len[1:]:
+        for x in neg_by_len[1:]:
             nonempty |= x
         assert _unpack(states[Criterion.ANY][1], size, 1) == [nonempty]
-        short = (by_len + [0] * exp)[:exp]
+        short = (neg_by_len + [0] * exp)[:exp]
         assert _unpack(states[Criterion.SHORT][1], size, exp) == short
         assert _unpack(states[Criterion.EXACT_EXP][1], size, exp) == short
         mod = [0] * exp
-        for l, x in enumerate(by_len[1:], 1):
+        for l, x in enumerate(neg_by_len[1:], 1):
             mod[l % exp] |= x
         assert _unpack(states[Criterion.EXP_MULTIPLE][1], size, exp) == mod
         # The last knapsack stage of each prefix; limit k grows the table.
@@ -111,7 +120,32 @@ def test_packed_rows_match_subset_reach(n1, n2):
         if least is None:
             assert w is None
         else:
-            assert seq.contains(w) and sum_of(w).is_zero() and len(w) == least
+            assert all(a >= b for a, b in zip(seq.counts, w.counts))
+            assert sum_of(w) == group.zero and len(w) == least
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (1, 36)])
+def test_paired_push_matches_the_single_pushes(n1, n2):
+    """The fused push of each pair gives, term by term, the outer push's
+    state and the inner push's, and once inner blocks a term, None for
+    good.  Half the runs take the terms inner leaves free where it can, so
+    the inner state lives long."""
+    group = GroupSpec(n1, n2)
+    size, exp = group.order, group.exponent
+    rng = random.Random(89 * n1 + n2)
+    for outer, inner in _PAIRED.items():
+        (o0, push_outer), (i0, push_inner) = _stepper(group, outer), _stepper(group, inner)
+        push = _paired_push(group, outer, inner)
+        for run in range(6):
+            o, i, state, alive = o0, i0, (*o0, i0), True
+            for _ in range(2 * exp + 3):
+                free = [e for e in range(size) if not (i[0] >> e) & 1]
+                e = rng.choice(free) if run % 2 and free else rng.randrange(size)
+                alive = alive and not (i[0] >> e) & 1
+                o, i = push_outer(o, e), push_inner(i, e)
+                state = push(state, e)
+                assert state[:2] == o, (outer, e)
+                assert state[2] == (i if alive else None), (inner, e)
 
 
 def test_lacks_examples():
@@ -150,7 +184,7 @@ def test_heredity_under_deletion():
             s = grow_lacking(rng, g, crit, 8)
             while len(s) > 0:
                 assert lacks(s, crit)
-                e = rng.choice(s.support())
+                e = g.element_at(rng.choice([i for i, c in enumerate(s.counts) if c]))
                 s = s.with_term(e, -1)
             assert lacks(s, crit)
 
@@ -203,8 +237,8 @@ def test_witness_self_validates():
                 assert lacks(s, crit)
                 continue
             checked += 1
-            assert s.contains(w)
-            assert sum_of(w).is_zero()
+            assert all(a >= b for a, b in zip(s.counts, w.counts))
+            assert sum_of(w) == g.zero
             exp = g.exponent
             n = len(w)
             if crit is Criterion.ANY:
@@ -297,4 +331,4 @@ def test_shift_lemma_case3():
 def test_shift_lemma_unknown_case():
     g = GroupSpec(2, 2)
     with pytest.raises(ValueError):
-        verify_shift_lemma(Sequence.empty(g), g.zero, 4)
+        verify_shift_lemma(Sequence(g, (0,) * g.order), g.zero, 4)

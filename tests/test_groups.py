@@ -172,7 +172,7 @@ def test_automorphisms_match_definition(n1, n2):
     # index order; the permutation reads the Element map (a, b) -> a*img1 + b*img2
     g = GroupSpec(n1, n2)
     elems = list(g.elements())
-    images = [(img1, img2) for img1 in elems if (n1 * img1).is_zero()
+    images = [(img1, img2) for img1 in elems if n1 * img1 == g.zero
               for img2 in elems if spans(img1, img2)]
     expected = [
         tuple((e.a * img1 + e.b * img2).index for e in elems) for img1, img2 in images

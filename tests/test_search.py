@@ -270,6 +270,43 @@ def test_packed_and_trie_searches_agree(n1, n2, monkeypatch):
             a.nodes, a.max_length, a.representatives), crit
 
 
+def _preorder_lacking(group, crit):
+    """Every multiset that lacks crit, in the DFS pre-order by the subset
+    oracle: a node's children append an element no smaller than its last,
+    in index order."""
+    order = []
+
+    def visit(counts, start):
+        order.append(tuple(counts))
+        for e in range(start, group.order):
+            counts[e] += 1
+            if oracle_lacks(Sequence(group, tuple(counts)), crit):
+                visit(counts, e)
+            counts[e] -= 1
+
+    visit([0] * group.order, 0)
+    return order
+
+
+@pytest.mark.parametrize("n1,n2,crit", [
+    *((n1, n2, c) for n1, n2 in [(2, 2), (1, 5)] for c in Criterion),
+    *((n1, n2, c) for n1, n2 in [(2, 4), (3, 3)] for c in (Criterion.ANY, Criterion.SHORT)),
+])
+def test_walk_cut_at_each_budget_visits_the_first_nodes_in_preorder(n1, n2, crit):
+    # Unreduced, a walk cut at budget b has visited the first b lacking
+    # multisets of the pre-order, so its deepest length and the tables of
+    # that length are theirs.  Every b pins the order of the children, not
+    # only their number.
+    group = GroupSpec(n1, n2)
+    order = _preorder_lacking(group, crit)
+    for b in range(len(order) + 1):
+        opts = SearchOptions(aut_pruning=False, shift_normalize=False, node_budget=b)
+        out = longest_lacking_search(group, crit, opts)
+        best = max((sum(t) for t in order[:b]), default=-1)
+        assert (out.nodes, out.complete, out.max_length) == (b, b == len(order), best), b
+        assert out.representatives == sorted({t for t in order[:b] if sum(t) == best}), b
+
+
 @pytest.mark.parametrize("crit", [Criterion.ANY, Criterion.EXACT_EXP])
 @pytest.mark.parametrize("budget", [0, 1, 2])
 def test_tiny_budget_visits_the_root_and_one_child(crit, budget):
