@@ -7,8 +7,10 @@ four masked shifts (wrap-around in each coordinate), precomputed per group.
 Reachability tables pack several such sets into one integer, row l at bits
 [l*|G|, (l+1)*|G|).  A shift never carries a bit across a row boundary, so
 with every mask repeated once per row (row_parts) the same masked shifts
-translate all rows at once.  row_parts keeps one table per group and
-rebuilds it with at least twice the rows when a caller needs more.
+translate all rows at once.  The tables hold negated sums, so entry e of
+row_parts translates by -e, as shift_getters does.  row_parts keeps one
+table per group and rebuilds it with at least twice the rows when a caller
+needs more.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ _ROW_PARTS: dict[GroupSpec, tuple[int, tuple[tuple[tuple[int, int], ...], ...]]]
 def row_parts(group: GroupSpec, rows: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per-element shift parts whose masks cover rows 0..rows-1 of a packed table.
 
-    The table may cover more rows than asked for; the extra mask bits meet
-    no bits of the packed integer and cost nothing.
+    Entry e translates by -e.  The table may cover more rows than asked
+    for; the extra mask bits meet no bits of the packed integer and cost
+    nothing.
     """
     cached = _ROW_PARTS.get(group)
     if cached is not None and cached[0] >= rows:
@@ -56,9 +59,10 @@ def row_parts(group: GroupSpec, rows: int) -> tuple[tuple[tuple[int, int], ...],
     size = group.order
     # mask * repunit repeats a one-row mask in every row (no carries: mask < 2^|G|).
     repunit = ((1 << (rows * size)) - 1) // ((1 << size) - 1)
+    table = add_table(group)
     parts = []
-    for row in add_table(group):
-        # Translation by g moves bit i to bit row[i]: one mask per distance.
+    for row in (table[n] for n in neg_table(group)):
+        # Translation by -e moves bit i to bit row[i]: one mask per distance.
         by_delta: dict[int, int] = {}
         for i, j in enumerate(row):
             by_delta[j - i] = by_delta.get(j - i, 0) | (1 << i)

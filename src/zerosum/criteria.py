@@ -9,13 +9,16 @@ the support (_knapsack_stages), records every exact length;
 has_zero_sum_of_length() and witness() run on it.
 
 Both tables pack their rows into one integer, row l at bits
-[l*|G|, (l+1)*|G|), so adding a term translates every row with one
-shift_mask call on the repeated-row masks of _bits.row_parts (one table per
-group, rebuilt with twice the rows when a caller needs more).  The
-stepper's rows hold negated sums, so its blocked set is a set of elements:
-those whose append completes a forbidden zero-sum, read off as bit e.  A
-paired walk of the search (_PAIRED) pushes both of its steppers with one
-shift_mask call (_paired_push).
+[l*|G|, (l+1)*|G|), and hold negated sums: bit -x of a row for each sum x
+it records.  Appending e moves every negated sum by -e, so adding a term
+translates every row with one shift_mask call on the repeated-row masks of
+_bits.row_parts (one table per group, rebuilt with twice the rows when a
+caller needs more).  The stepper's blocked set, the elements whose append
+completes a forbidden zero-sum read off as bit e, is its top row as it
+stands: eta's row l counts the sums of length at most l, and the mod-k rows
+of D and s_exp_mult hold every sum, the empty one included.  A paired walk
+of the search (_PAIRED) pushes both of its steppers with one shift_mask
+call (_paired_push).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from ._bits import add_table, neg_table, row_parts, shift_mask
+from ._bits import add_table, row_parts, shift_mask
 from .groups import Element, GroupSpec
 from .sequences import Sequence, shift
 
@@ -76,30 +79,6 @@ def formula_value(group: GroupSpec, criterion: Criterion) -> int:
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def _neg_parts(group: GroupSpec, rows: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """row_parts(group, rows) permuted through neg_table: entry e translates by -e."""
-    parts = row_parts(group, rows)
-    return tuple(parts[n] for n in neg_table(group))
-
-
-def _short_folds(exp: int, size: int) -> tuple[int, ...]:
-    """Shifts that fold exp rows onto row 0, halving (rounded up) the live
-    rows per step; bits above the live rows are ORs of genuine rows, so
-    harmless once the result is cut to row 0."""
-    folds = []
-    live = exp
-    while live > 1:
-        live = (live + 1) // 2
-        folds.append(live * size)
-    return tuple(folds)
-
-
-def _singles(group: GroupSpec, k: int) -> tuple[int, ...]:
-    """singles[e]: the bit of -e in row 1 mod k, the one-term subsequence e."""
-    row1 = (1 % k) * group.order
-    return tuple(1 << (row1 + n) for n in neg_table(group))
-
-
 def _stepper(group: GroupSpec, criterion: Criterion):
     """Per-criterion incremental state.
 
@@ -107,20 +86,24 @@ def _stepper(group: GroupSpec, criterion: Criterion):
     completes a forbidden zero-sum.  The second entry packs the rows needed
     to maintain it into one integer, row l at bits [l*|G|, (l+1)*|G|) (see
     _bits), and the rows hold negated sums: bit -x of row l for each sum x
-    of a subsequence of length l, so appending e closes a zero-sum of length
-    l + 1 iff bit e of row l is set, and the blocked set is a row, or an OR
-    of rows, as it stands.  The rows are: reachable sums by subsequence
-    length l < exp for SHORT/EXACT_EXP; nonempty sums by length l mod k for
-    ANY (k = 1: every length is a multiple of 1) and EXP_MULTIPLE (k = exp).
-    Appending e moves every negated sum by -e, so one push translates every
-    row with one shift_mask call on parts[e], the parts of -e (_neg_parts).
+    the row records, so appending e closes a zero-sum with one of them iff
+    bit e of row l is set.  The rows are, for l < exp, the sums of length
+    exactly l for EXACT_EXP and of length at most l for SHORT (the empty sum
+    starts in every row); for ANY (k = 1: every length is a multiple of 1)
+    and EXP_MULTIPLE (k = exp), every sum, the empty one included, by length
+    l mod k.  So the blocked set is always the top row, as it stands.
+    Appending e moves every negated sum by -e: row l+1 |= row l - e, the
+    same recurrence for "exactly l" and "at most l", so SHORT and EXACT_EXP
+    share one push and differ in their start states; the mod-k push wraps
+    the top row onto row 0.  Each push translates every row with one
+    shift_mask call on parts[e] (_bits.row_parts: entry e translates by -e).
     """
     size = group.order
     exp = group.exponent
-    top = (exp - 1) * size  # bit offset of row exp-1
 
-    if criterion is Criterion.EXACT_EXP:
-        parts = _neg_parts(group, exp - 1)
+    if criterion in (Criterion.SHORT, Criterion.EXACT_EXP):
+        top = (exp - 1) * size  # bit offset of row exp-1
+        parts = row_parts(group, exp - 1)
         below_top = (1 << top) - 1
 
         def push(state, e):
@@ -128,40 +111,22 @@ def _stepper(group: GroupSpec, criterion: Criterion):
             packed |= shift_mask(packed & below_top, parts[e]) << size
             return (packed >> top, packed)
 
-        return (1 if exp == 1 else 0, 1), push
-
-    if criterion is Criterion.SHORT:
-        parts = _neg_parts(group, exp - 1)
-        below_top = (1 << top) - 1
-        folds = _short_folds(exp, size)
-        row0 = (1 << size) - 1
-
-        def push(state, e):
-            packed = state[1]
-            packed |= shift_mask(packed & below_top, parts[e]) << size
-            x = packed
-            for f in folds:
-                x |= x >> f
-            return (x & row0, packed)
-
-        return (1, 1), push
+        # The empty sum: in every row for SHORT (the repunit), in row 0 for EXACT_EXP.
+        p = ((1 << (exp * size)) - 1) // ((1 << size) - 1) if criterion is Criterion.SHORT else 1
+        return (p >> top, p), push
 
     k = 1 if criterion is Criterion.ANY else exp
     top = (k - 1) * size  # row k-1: its elements complete a forbidden length
-    parts = _neg_parts(group, k)
+    parts = row_parts(group, k)
     all_rows = (1 << (k * size)) - 1
-    # The singleton e adds -e to row 1 mod k; with k == 1 the only row is
-    # also the top one and the empty subsequence blocks 0 (hence `low`).
-    singles = _singles(group, k)
-    low = 1 if k == 1 else 0
 
     def push(state, e):
         packed = state[1]
         x = shift_mask(packed, parts[e])
-        packed |= ((x << size) & all_rows) | (x >> top) | singles[e]
-        return ((packed >> top) | low, packed)
+        packed |= ((x << size) & all_rows) | (x >> top)
+        return (packed >> top, packed)
 
-    return (low, 0), push
+    return (1 >> top, 1), push
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +151,8 @@ def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
     inner's k rows sit side by side in one integer (inner's from row exp-1
     on), one shift_mask translates both, and each finishes as its own push
     in _stepper does; after, or when inner blocks e, outer's push runs alone.
+    SHORT and EXACT_EXP share their push, and every blocked set is a top
+    row, so one closure serves both pairs.
     """
     push_outer = _shared_stepper(group, outer)[1]
     size = group.order
@@ -193,32 +160,9 @@ def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
     k = 1 if inner is Criterion.ANY else exp
     top = (exp - 1) * size  # outer's top row, where inner's rows start
     below_top = (1 << top) - 1
-    parts = _neg_parts(group, exp - 1 + k)
+    parts = row_parts(group, exp - 1 + k)
     inner_top = (k - 1) * size
     inner_rows = (1 << (k * size)) - 1
-    singles = _singles(group, k)
-    low = 1 if k == 1 else 0
-
-    # One closure per outer shape, as in _stepper: outer's blocked set is
-    # row exp-1 for EXACT_EXP and rows 0..exp-1 folded onto row 0 for SHORT.
-    if outer is Criterion.EXACT_EXP:
-
-        def push_both(state, e):
-            s = state[2]
-            if s is None or (s[0] >> e) & 1:
-                o = push_outer(state, e)
-                return (o[0], o[1], None)
-            packed = state[1]
-            x = shift_mask((packed & below_top) | (s[1] << top), parts[e])
-            packed |= (x & below_top) << size
-            y = x >> top
-            packed_in = s[1] | ((y << size) & inner_rows) | (y >> inner_top) | singles[e]
-            return (packed >> top, packed, ((packed_in >> inner_top) | low, packed_in))
-
-        return push_both
-
-    folds = _short_folds(exp, size)
-    row0 = (1 << size) - 1
 
     def push_both(state, e):
         s = state[2]
@@ -229,11 +173,8 @@ def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
         x = shift_mask((packed & below_top) | (s[1] << top), parts[e])
         packed |= (x & below_top) << size
         y = x >> top
-        packed_in = s[1] | ((y << size) & inner_rows) | (y >> inner_top) | singles[e]
-        b = packed
-        for f in folds:
-            b |= b >> f
-        return (b & row0, packed, ((packed_in >> inner_top) | low, packed_in))
+        packed_in = s[1] | ((y << size) & inner_rows) | (y >> inner_top)
+        return (packed >> top, packed, (packed_in >> inner_top, packed_in))
 
     return push_both
 
@@ -242,8 +183,10 @@ def _knapsack_stages(seq: Sequence, limit: int):
     """Fill the (length, sum) table with rows 0..limit, one support element at a time.
 
     Yields the table, packed into one integer (row l at bits
-    [l*|G|, (l+1)*|G|), see _bits), before the first support element (only
-    the empty subsequence) and after each one.  Each copy of an element is
+    [l*|G|, (l+1)*|G|), see _bits) of negated sums (bit -x of row l for
+    each sum x of length l), before the first support element (only the
+    empty subsequence) and after each one.  A zero-sum of length l is bit 0
+    of row l either way, since -0 = 0.  Each copy of an element is
     incorporated separately (multiplicities are small here; plain repetition
     beats binary splitting in simplicity).
     """
@@ -303,7 +246,6 @@ def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     if target is None:
         return None
 
-    neg = neg_table(seq.group)
     add = add_table(seq.group)
     support = [i for i, mult in enumerate(seq.counts) if mult]
     need_l, need_idx = target, 0
@@ -311,14 +253,14 @@ def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     for j in range(len(support) - 1, -1, -1):
         i = support[j]
         prev = stages[j]
-        back = need_idx  # need_idx - c * element_i, for c = 0, 1, ...
+        back = need_idx  # need_idx + c * element_i (sums negated), for c = 0, 1, ...
         for c in range(min(seq.counts[i], need_l) + 1):
             if (prev >> ((need_l - c) * size + back)) & 1:
                 taken[i] = c
                 need_l -= c
                 need_idx = back
                 break
-            back = add[back][neg[i]]
+            back = add[back][i]
         else:
             raise RuntimeError("witness reconstruction lost the trail")
     if need_l != 0 or need_idx != 0:

@@ -599,10 +599,10 @@ def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> lis
     if shiftn:
         # Every nonempty sequence has a translate containing 0, which every
         # automorphism fixes, so the root keeps one child, {0} (blocked on C1
-        # all the same), and blocks the rest.  The pushes of EXACT_EXP and
-        # EXP_MULTIPLE rebuild the blocked set from the packed rows, so no
-        # node below the root sees these blocks.  The outer blocked set
-        # decides the children of a paired walk, so its inner state needs none.
+        # all the same), and blocks the rest.  Every push rebuilds the
+        # blocked set from the packed rows, so no node below the root sees
+        # these blocks.  The outer blocked set decides the children of a
+        # paired walk, so its inner state needs none.
         state0 = (state0[0] | (((1 << group.order) - 1) ^ 1), state0[1])
     state0 += tuple(_shared_stepper(group, c)[0] for c in criteria[1:])
     root = ((0,) * group.order, state0, 0)

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from zerosum import (
 )
 from zerosum import _bits, criteria
 from zerosum.criteria import _PAIRED, _knapsack_stages, _paired_push, _stepper
-from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
+from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence, subset_reach
 
 ORACLE_GROUPS = [GroupSpec(2, 2), GroupSpec(1, 5), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 12)]
 
@@ -49,8 +51,9 @@ def _add_term(reach: set, e, n1: int, n2: int) -> set:
 def test_packed_rows_match_subset_reach(n1, n2):
     """Every stepper state and knapsack stage unpacks to the brute-force
     (length, sum) sets of its prefix, while the repeated-row table grows.
-    Stepper rows hold negated sums and blocked sets hold elements, so the
-    brute-force sets go through neg_table before those comparisons."""
+    Both tables hold negated sums and blocked sets hold elements, so the
+    brute-force sets go through neg_table before those comparisons.  eta's
+    row l holds the lengths at most l, and the mod-k rows the empty sum."""
     group = GroupSpec(n1, n2)
     size, exp = group.order, group.exponent
     neg = _bits.neg_table(group)
@@ -81,23 +84,25 @@ def test_packed_rows_match_subset_reach(n1, n2):
                 if blocks[c](l):
                     blocked |= x
             assert states[c][0] == blocked, (k, c)
-        # ANY's one row: every nonempty sum (lengths mod 1, as EXP_MULTIPLE's mod exp).
-        nonempty = 0
-        for x in neg_by_len[1:]:
-            nonempty |= x
-        assert _unpack(states[Criterion.ANY][1], size, 1) == [nonempty]
-        short = (neg_by_len + [0] * exp)[:exp]
-        assert _unpack(states[Criterion.SHORT][1], size, exp) == short
-        assert _unpack(states[Criterion.EXACT_EXP][1], size, exp) == short
+        # ANY's one row: every sum, the empty one included (lengths mod 1,
+        # as EXP_MULTIPLE's mod exp).
+        every = 0
+        for x in neg_by_len:
+            every |= x
+        assert _unpack(states[Criterion.ANY][1], size, 1) == [every]
+        exact = (neg_by_len + [0] * exp)[:exp]
+        assert _unpack(states[Criterion.EXACT_EXP][1], size, exp) == exact
+        at_most = list(itertools.accumulate(exact, operator.or_))
+        assert _unpack(states[Criterion.SHORT][1], size, exp) == at_most
         mod = [0] * exp
-        for l, x in enumerate(neg_by_len[1:], 1):
+        for l, x in enumerate(neg_by_len):
             mod[l % exp] |= x
         assert _unpack(states[Criterion.EXP_MULTIPLE][1], size, exp) == mod
         # The last knapsack stage of each prefix; limit k grows the table.
         seq = Sequence.from_items(group, [(t, 1) for t in terms[:k]])
         for limit in {0, min(exp, k), k}:
             *_, last = _knapsack_stages(seq, limit)
-            assert _unpack(last, size, limit + 1) == by_len[:limit + 1], (k, limit)
+            assert _unpack(last, size, limit + 1) == neg_by_len[:limit + 1], (k, limit)
     assert _bits._ROW_PARTS[group][0] > rows_at_start
 
     # Every stage of the whole sequence: support elements in index order.
@@ -105,11 +110,15 @@ def test_packed_rows_match_subset_reach(n1, n2):
     items = list(seq.items())
     assert len(stages) == len(items) + 1
     stage_reach = {(0, 0, 0)}
-    assert _unpack(stages[0], size, len(seq) + 1) == _reach_rows(stage_reach, n2, len(seq) + 1)
+
+    def neg_rows(reach):
+        return [_negate(x, neg) for x in _reach_rows(reach, n2, len(seq) + 1)]
+
+    assert _unpack(stages[0], size, len(seq) + 1) == neg_rows(stage_reach)
     for (e, mult), stage in zip(items, stages[1:]):
         for _ in range(mult):
             stage_reach = _add_term(stage_reach, e, n1, n2)
-        assert _unpack(stage, size, len(seq) + 1) == _reach_rows(stage_reach, n2, len(seq) + 1)
+        assert _unpack(stage, size, len(seq) + 1) == neg_rows(stage_reach)
 
     # witness: None exactly when no forbidden length is reachable at sum 0,
     # otherwise a zero-sum sub-multiset of the least reachable such length.
@@ -261,6 +270,18 @@ def test_has_zero_sum_of_length():
     assert not has_zero_sum_of_length(s, 7)
     with pytest.raises(ValueError):
         has_zero_sum_of_length(s, -1)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16])
+def test_has_zero_sum_of_length_against_subset_reach(n1, n2):
+    """Every length from 0 to len + 1, random sequences of up to 10 terms."""
+    group = GroupSpec(n1, n2)
+    rng = random.Random(53 * n1 + n2)
+    for _ in range(40):
+        seq = random_sequence(rng, group, 10)
+        reach = subset_reach(seq)
+        for length in range(len(seq) + 2):
+            assert has_zero_sum_of_length(seq, length) == ((length, 0, 0) in reach), (seq, length)
 
 
 def test_shift_lemma_case1():
