@@ -2,16 +2,22 @@
 
 For G = C_m + C_mn of rank two the longest sequences without a short zero-sum
 subsequence (length eta(G)-1), respectively without a zero-sum subsequence of
-length exp(G) (length s(G)-1), fall into four parameterized families:
+length exp(G) (length s(G)-1), fall into four parameterized families, built
+from two shapes:
 
-    ETA_A: e1^(m-1) e2^(sm-1) (-x*e1+e2)^((n+1-s)m-1)
-           for a basis {e1, e2} with ord(e2) = mn, gcd(x, m) = 1, s in [1, n]
-    ETA_B: g1^(m-1) g2^(mn-1) (-g1+g2)^(m-1)
-           for a generating pair {g1, g2} with ord(g2) = mn
-    S_A:   g^(tm-1) (e1+g)^((n+1-t)m-1) (e2+g)^(sm-1) (-x*e1+e2+g)^((n+1-s)m-1)
-           as in ETA_A plus t in [1, n] and a translation g in G
-    S_B:   g^(mn-1) (g1+g)^(m-1) (g2+g)^(mn-1) (-g1+g2+g)^(m-1)
-           as in ETA_B plus a translation g in G
+    A shape: e1^((n+1-t)m-1) e2^(sm-1) (-x*e1+e2)^((n+1-s)m-1)
+             for a basis {e1, e2} with ord(e2) = mn, gcd(x, m) = 1, s, t in [1, n]
+    B shape: g1^(m-1) g2^(mn-1) (-g1+g2)^(m-1)
+             for a generating pair {g1, g2} with ord(g2) = mn, and t = n
+
+    ETA_A, ETA_B: the A shape with t = n, the B shape
+    S_A, S_B:     g^(tm-1) followed by the A shape, resp. the B shape,
+                  translated by g in G
+
+The s-families are the eta-shapes padded and translated.  t = n is the
+slice: the padding g^(mn-1) has multiplicity exp(G)-1 and what follows is a
+translated eta-extremal, the structure expected of an s-extremal.  t < n
+(S_A only) is the richer structure: a shorter padding, a longer e1 + g.
 
 The families overlap; classify() returns every parameterization that
 reproduces a sequence, and an empty result is a finding, not an error.
@@ -19,10 +25,10 @@ reproduces a sequence, and an empty result is a finding, not an error.
 classify() scans only the sequence's own support.  Every element a family
 names has multiplicity at least m-1 >= 1 (rank two means m >= 2) and the
 named elements of a valid form are pairwise distinct, so a matching sequence
-has exactly the named elements as its support: three for ETA_A/ETA_B, four
-for S_A/S_B.  Candidate pairs (e1, e2), and translations g, are drawn from
-the support and checked on per-group index tables (_index_tables) instead
-of running over every basis, unit and translation.
+has exactly the named elements as its support: the three of a shape, plus
+the padding g for S_A/S_B.  The padding g, and the pairs (e1+g, e2+g), are
+drawn from the support and checked on per-group index tables
+(_index_tables) instead of running over every basis, unit and translation.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .groups import (
     order_of,
 )
 from .search import SearchOptions, longest_lacking_search
-from .sequences import Sequence
+from .sequences import Sequence, shift
 
 
 class FormTag(Enum):
@@ -143,26 +149,23 @@ def _validate_form(form: ExtremalForm) -> None:
 
 
 def _form_items(form: ExtremalForm) -> list[tuple[Element, int]]:
+    """The A or B shape, for S_A/S_B after g^(tm-1) and translated by g."""
     grp = form.group
     m, n, mn = grp.m, grp.n, grp.exponent
     e1, e2 = form.e1, form.e2
-    if form.tag is FormTag.ETA_A:
-        return [
-            (e1, m - 1),
+    t = form.t if form.tag is FormTag.S_A else n
+    if form.tag in (FormTag.ETA_A, FormTag.S_A):
+        shape = [
+            (e1, (n + 1 - t) * m - 1),
             (e2, form.s * m - 1),
             (-form.x * e1 + e2, (n + 1 - form.s) * m - 1),
         ]
-    if form.tag is FormTag.ETA_B:
-        return [(e1, m - 1), (e2, mn - 1), (e2 - e1, m - 1)]
+    else:
+        shape = [(e1, m - 1), (e2, mn - 1), (e2 - e1, m - 1)]
+    if form.tag in (FormTag.ETA_A, FormTag.ETA_B):
+        return shape
     g = form.g
-    if form.tag is FormTag.S_A:
-        return [
-            (g, form.t * m - 1),
-            (e1 + g, (n + 1 - form.t) * m - 1),
-            (e2 + g, form.s * m - 1),
-            (-form.x * e1 + e2 + g, (n + 1 - form.s) * m - 1),
-        ]
-    return [(g, mn - 1), (e1 + g, m - 1), (e2 + g, mn - 1), (e2 - e1 + g, m - 1)]
+    return [(g, t * m - 1)] + [(h + g, k) for h, k in shape]
 
 
 def construct(form: ExtremalForm) -> Sequence:
@@ -233,14 +236,14 @@ def _index_tables(group: GroupSpec) -> tuple:
 def classify(seq: Sequence) -> list[ExtremalForm]:
     """Every parameterization whose construct() equals the sequence.
 
-    Scans only the sequence's own support, which is exact: every element a
-    form names has multiplicity at least m-1 >= 1 and the named elements are
-    pairwise distinct, so a match has exactly them as its support (three
-    for ETA, four for S).  (e1, e2), resp. (e1+g, e2+g) with g from the
-    support, is an ordered pair of support indices checked against the
-    basis / generating-pair tables; the multiplicity pattern fixes s and t.
-    All arithmetic is on element indices; only matches become Elements.  An
-    empty result means the sequence matches no family.
+    One loop over the padding candidates: for an eta-length sequence only
+    "no padding" (t = n, no translation, the whole support is the shape);
+    for an s-length one each support element g of multiplicity tm-1, t in
+    [1, n], with the other three, translated by -g, as the shape (a B shape
+    only with t = n).  Only the support is scanned (see the module
+    docstring), on element indices; the pairs are checked against the basis
+    / generating-pair tables and the multiplicity pattern fixes s and t.
+    Only matches become Elements.  An empty result means no family matches.
     """
     grp = seq.group
     if grp.rank != 2:
@@ -268,49 +271,36 @@ def classify(seq: Sequence) -> list[ExtremalForm]:
         s = (count + 1) // m
         return s if 1 <= s <= n else None
 
-    if is_eta:
-        for e1, e2 in permutations(supp, 2):
-            if cnt[e1] != m - 1:
+    pads = [(None, n)] if is_eta else [(p, param_s(cnt[p])) for p in supp]
+    for pad, t in pads:
+        if t is None:
+            continue
+        if pad is None:  # no translation: index 0 is the zero element
+            shape, minus_g, g, t_a = supp, 0, None, None
+            tag_a, tag_b = FormTag.ETA_A, FormTag.ETA_B
+        else:
+            shape, minus_g, g, t_a = [i for i in supp if i != pad], neg[pad], elem[pad], t
+            tag_a, tag_b = FormTag.S_A, FormTag.S_B
+        first = (n + 1 - t) * m - 1
+        for a, b in permutations(shape, 2):
+            # a = e1 + g, b = e2 + g
+            if cnt[a] != first:
                 continue
+            e1, e2 = add[a][minus_g], add[b][minus_g]
             if (e1, e2) in bases:
-                s = param_s(cnt[e2])
+                s = param_s(cnt[b])
                 if s is not None:
                     want = (n + 1 - s) * m - 1
                     for x, times in scaled:
-                        if cnt[add[e2][neg[times[e1]]]] == want:
-                            forms.append(ExtremalForm(FormTag.ETA_A, elem[e1], elem[e2], x=x, s=s))
+                        if cnt[add[b][neg[times[e1]]]] == want:
+                            forms.append(ExtremalForm(tag_a, elem[e1], elem[e2], x, s, t_a, g))
             if (
-                (e1, e2) in generating
-                and cnt[e2] == mn - 1
-                and cnt[add[e2][neg[e1]]] == m - 1
+                t == n
+                and cnt[b] == mn - 1
+                and (e1, e2) in generating
+                and cnt[add[b][neg[e1]]] == m - 1
             ):
-                forms.append(ExtremalForm(FormTag.ETA_B, elem[e1], elem[e2]))
-    else:
-        for g in supp:
-            t = param_s(cnt[g])
-            if t is None:
-                continue
-            minus_g = neg[g]
-            others = [i for i in supp if i != g]
-            for a, b in permutations(others, 2):
-                # a = e1 + g, b = e2 + g
-                e1, e2 = add[a][minus_g], add[b][minus_g]
-                if cnt[a] == (n + 1 - t) * m - 1 and (e1, e2) in bases:
-                    s = param_s(cnt[b])
-                    if s is not None:
-                        want = (n + 1 - s) * m - 1
-                        for x, times in scaled:
-                            if cnt[add[b][neg[times[e1]]]] == want:
-                                forms.append(ExtremalForm(
-                                    FormTag.S_A, elem[e1], elem[e2], x=x, s=s, t=t, g=elem[g]))
-                if (
-                    cnt[g] == mn - 1
-                    and cnt[a] == m - 1
-                    and cnt[b] == mn - 1
-                    and (e1, e2) in generating
-                    and cnt[add[b][neg[e1]]] == m - 1
-                ):
-                    forms.append(ExtremalForm(FormTag.S_B, elem[e1], elem[e2], g=elem[g]))
+                forms.append(ExtremalForm(tag_b, elem[e1], elem[e2], g=g))
 
     forms.sort(key=ExtremalForm.sort_key)
     return forms
@@ -395,7 +385,7 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
         raise ValueError("property checks need m >= 2")
     group = GroupSpec(m, m)
     criterion = Criterion.SHORT if which == "C" else Criterion.EXACT_EXP
-    out = _extremal_search(group, criterion, options)[0]
+    out, target = _extremal_search(group, criterion, options)
     rep = m - 1
     if out.complete:
         bad = []
@@ -411,7 +401,7 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
         params={"m": m},
         status=status,
         counterexamples=bad,
-        details={"extremal_count": count, "length": 3 * m - 3 if which == "C" else 4 * m - 4},
+        details={"extremal_count": count, "length": target},
         nodes=out.nodes,
     )
 
@@ -499,7 +489,9 @@ def _check_two_m(m: int) -> CheckResult:
 
 def _check_invcyc(n: int, options: Optional[SearchOptions] = None) -> CheckResult:
     """The cyclic inverse structure: zero-sum free extremals are e^(n-1) with
-    <e> = C_n, and length-n-free extremals are g^(n-1) (g+e)^(n-1)."""
+    <e> = C_n, and length-n-free extremals are g^(n-1) (g+e)^(n-1): each
+    zero-sum free extremal padded by 0^(n-1) and translated by every g, the
+    cyclic case of the s-families' padded and translated shapes."""
     if n < 1:
         raise ValueError("invcyc needs n >= 1")
     group = GroupSpec.cyclic(n)
@@ -517,11 +509,7 @@ def _check_invcyc(n: int, options: Optional[SearchOptions] = None) -> CheckResul
     nodes += out_s.nodes
     complete = complete and out_s.complete
     got_s = {Sequence(group, c) for c in out_s.sequences}
-    pred_s = {
-        Sequence.from_items(group, [(g, n - 1), (g + e, n - 1)])
-        for e in generators
-        for g in group.elements()
-    }
+    pred_s = {shift(g, z.with_term(group.zero, n - 1)) for z in pred_any for g in group.elements()}
 
     if complete:
         bad = sorted((got_any ^ pred_any) | (got_s ^ pred_s))

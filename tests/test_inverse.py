@@ -96,15 +96,35 @@ def test_classify_roundtrip():
 ORACLE_FORM_GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (2, 8)]
 
 
-def _forms_by_counts(group):
-    """Every valid form, keyed by the counts of the sequence it states.
+def _literal_items(form):
+    """The four families, each formula written out in full, one branch per
+    tag, independently of _form_items' shapes and padding."""
+    grp = form.group
+    m, n, mn = grp.m, grp.n, grp.exponent
+    e1, e2 = form.e1, form.e2
+    if form.tag is FormTag.ETA_A:
+        return [
+            (e1, m - 1),
+            (e2, form.s * m - 1),
+            (-form.x * e1 + e2, (n + 1 - form.s) * m - 1),
+        ]
+    if form.tag is FormTag.ETA_B:
+        return [(e1, m - 1), (e2, mn - 1), (e2 - e1, m - 1)]
+    g = form.g
+    if form.tag is FormTag.S_A:
+        return [
+            (g, form.t * m - 1),
+            (e1 + g, (n + 1 - form.t) * m - 1),
+            (e2 + g, form.s * m - 1),
+            (-form.x * e1 + e2 + g, (n + 1 - form.s) * m - 1),
+        ]
+    return [(g, mn - 1), (e1 + g, m - 1), (e2 + g, mn - 1), (e2 - e1 + g, m - 1)]
 
-    Built forward from the family definitions (every basis, unit, s, t and
-    translation g), independently of classify's support scan.
-    """
+
+def _all_forms(group):
+    """Every valid form: every basis, unit, s, t and translation g."""
     n = group.n
     elems = list(group.elements())
-    out = defaultdict(list)
     forms = []
     for e1, e2 in _ordered_bases(group):
         for x in _units(group.m):
@@ -117,9 +137,29 @@ def _forms_by_counts(group):
         forms.append(ExtremalForm(FormTag.ETA_B, g1, g2))
         for g in elems:
             forms.append(ExtremalForm(FormTag.S_B, g1, g2, g=g))
-    for form in forms:
-        out[Sequence.from_items(group, _form_items(form)).counts].append(form)
+    return forms
+
+
+def _forms_by_counts(group):
+    """Every valid form, keyed by the counts of the sequence it states.
+
+    Built forward from the literal family formulas (_literal_items),
+    independently of classify's support scan and of _form_items.
+    """
+    out = defaultdict(list)
+    for form in _all_forms(group):
+        out[Sequence.from_items(group, _literal_items(form)).counts].append(form)
     return {c: sorted(fs, key=ExtremalForm.sort_key) for c, fs in out.items()}
+
+
+@pytest.mark.parametrize("gspec", ORACLE_FORM_GROUPS, ids=lambda g: f"{g[0]}-{g[1]}")
+def test_form_items_match_the_literal_formulas(gspec):
+    # _form_items builds two shapes and pads and translates them for the
+    # s-families; it must state the same sequence as the four formulas.
+    group = GroupSpec(*gspec)
+    for form in _all_forms(group):
+        got = Sequence.from_items(group, _form_items(form))
+        assert got == Sequence.from_items(group, _literal_items(form)), form
 
 
 @pytest.mark.parametrize("gspec", ORACLE_FORM_GROUPS, ids=lambda g: f"{g[0]}-{g[1]}")

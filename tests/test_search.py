@@ -24,6 +24,7 @@ import pytest
 import zerosum.search as search
 from zerosum import Criterion, GroupSpec, Sequence, SearchOptions
 from zerosum._bits import shift_getters
+from zerosum.criteria import _shared_stepper
 from zerosum.groups import aut_getters, aut_permutations, least_image
 from zerosum.search import (
     _PACKED_MAX_BITS,
@@ -197,6 +198,40 @@ def test_slice_identities(n1, n2):
             a, b = (longest_lacking_search(group, c, opts) for c in (short, padded))
             sliced = sorted((0,) + c[1:] for c in b.classes if c[0] == exp - 1)
             assert a.classes == sliced, (short, prune, shiftn, workers)
+
+
+SLICE_SUBTREE_GROUPS = [
+    (1, 5), (1, 7), (2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (2, 8), (5, 5), (2, 10),
+    (6, 6), (3, 9), (7, 7),
+]
+
+
+@pytest.mark.parametrize("n1,n2", SLICE_SUBTREE_GROUPS)
+def test_slice_subtrees(n1, n2):
+    # The slice identities at node level: the s walk's stepper, started from
+    # the node 0^(exp-1), walks a copy of the eta walk, and s_exp_mult's one
+    # of the D walk.  T lacks a short zero-sum iff 0^(exp-1) T lacks one of
+    # length exp (the zeros pad any short zero-sum to length exp), and
+    # likewise for zero-sums of any length and of a length divisible by exp;
+    # automorphisms fix 0, so the pruned walks keep the same nodes.  Same
+    # node count, same best length less exp - 1, same representatives with
+    # exp - 1 taken off the count at index 0.  C7+C7 is on the trie side.
+    group = GroupSpec(n1, n2)
+    exp = group.exponent
+    pad = exp - 1
+    for short, padded in ((Criterion.SHORT, Criterion.EXACT_EXP), (Criterion.ANY, Criterion.EXP_MULTIPLE)):
+        base = longest_lacking_search(group, short)
+        assert base.complete
+        state, push = _shared_stepper(group, padded)
+        for _ in range(pad):
+            state = push(state, 0)
+        top = ((pad,) + (0,) * (group.order - 1), state, 0)
+        ctx = search._Ctx(group, (padded,), None, True, 10**7)
+        ((best, best_list, nodes, complete),) = search._walk(ctx, top)
+        assert complete
+        assert nodes == base.nodes, short
+        assert best - pad == base.max_length, short
+        assert sorted({(c[0] - pad,) + c[1:] for c in best_list}) == base.representatives, short
 
 
 @pytest.mark.parametrize("crit", list(Criterion))
