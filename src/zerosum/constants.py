@@ -12,10 +12,12 @@ constant that forbids zero-sums of every length divisible by k
 (Gao-Geroldinger); criteria._stepper decides both on one table of sums by
 length mod k.  longest_lacking() recomputes each constant by brute force as
 (maximum length of a sequence lacking the criterion) + 1 and reports the
-least extremal sequence.  check_direct_formulas() gets the four from two
-walks: a D-lacking (zero-sum free) sequence lacks eta's short zero-sums,
-and an s_{exp(G)N}-lacking one lacks s's zero-sums of length exp(G), so
-eta's walk also tallies D and s's walk s_{exp(G)N} (criteria._PAIRED).
+least extremal sequence.  check_direct_formulas() gets the four from one
+walk, s's (search._ONE_WALK): a node lacks s_{exp(G)N} iff its exact rows
+show no zero-sum of a length divisible by exp(G), and since
+s - eta = s_{exp(G)N} - D = exp(G) - 1 (T lacks short zero-sums iff
+0^(exp-1) T lacks zero-sums of length exp(G)), the eta and D walks are the
+slice of its nodes with exp(G) - 1 zeros.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .criteria import _PAIRED, Criterion, formula_value, lacks
+from .criteria import Criterion, formula_value, lacks
 from .groups import GroupSpec
-from .search import SearchOptions, _search, longest_lacking_search
+from .search import _ONE_WALK, SearchOptions, _search, longest_lacking_search
 from .sequences import Sequence
 
 
@@ -115,22 +117,17 @@ def _report(group: GroupSpec, criterion: Criterion, out, elapsed: float) -> Sear
 def check_direct_formulas(
     group: GroupSpec, options: SearchOptions | None = None
 ) -> tuple[bool, list[SearchReport]]:
-    """Search all four constants in two walks (see the module docstring) and
+    """Search all four constants in one walk (see the module docstring) and
     compare each with its closed formula.
 
-    Every report is the one longest_lacking gives, nodes included; both
-    reports of a walk carry its time.  A walk cut short by the budget proves
-    nothing of its inner constant, which is then searched alone.  A mismatch
+    Every report is the one longest_lacking gives, nodes included; all four
+    carry the walk's time.  A walk cut short by the budget proves nothing of
+    the other three constants, which are then searched alone.  A mismatch
     would falsify the implementation, not the formulas.
     """
-    reports = {}
-    for outer, inner in _PAIRED.items():
-        start = time.perf_counter()
-        outcomes = _search(group, (outer, inner), options)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        for criterion, out in zip((outer, inner), outcomes):
-            reports[criterion] = _report(group, criterion, out, elapsed)
-        if inner not in reports:
-            reports[inner] = longest_lacking(group, inner, options)
-    ordered = [reports[c] for c in Criterion]
+    start = time.perf_counter()
+    outcomes = _search(group, _ONE_WALK, options)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    reports = {c: _report(group, c, out, elapsed) for c, out in zip(_ONE_WALK, outcomes)}
+    ordered = [reports[c] if c in reports else longest_lacking(group, c, options) for c in Criterion]
     return all(r.matches_formula for r in ordered), ordered

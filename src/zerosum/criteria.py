@@ -16,9 +16,9 @@ _bits.row_parts (one table per group, rebuilt with twice the rows when a
 caller needs more).  The stepper's blocked set, the elements whose append
 completes a forbidden zero-sum read off as bit e, is its top row as it
 stands: eta's row l counts the sums of length at most l, and the mod-k rows
-of D and s_exp_mult hold every sum, the empty one included.  A paired walk
-of the search (_PAIRED) pushes both of its steppers with one shift_mask
-call (_paired_push).
+of D and s_exp_mult hold every sum, the empty one included.  The s walk of
+check_direct_formulas keeps s's exact rows past exp(G) - 1 (last_row), so
+bit 0 of its rows k*exp(G) tells which nodes lack s_exp_mult.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def formula_value(group: GroupSpec, criterion: Criterion) -> int:
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def _stepper(group: GroupSpec, criterion: Criterion):
+def _stepper(group: GroupSpec, criterion: Criterion, last_row: Optional[int] = None):
     """Per-criterion incremental state.
 
     A state's first entry is the "blocked" set: the elements e whose append
@@ -97,14 +97,20 @@ def _stepper(group: GroupSpec, criterion: Criterion):
     share one push and differ in their start states; the mod-k push wraps
     the top row onto row 0.  Each push translates every row with one
     shift_mask call on parts[e] (_bits.row_parts: entry e translates by -e).
+
+    With last_row >= exp-1, EXACT_EXP keeps its exact rows up to last_row:
+    bit 0 of row l is a zero-sum of length exactly l.  The blocked set is
+    still packed >> top, rows exp-1 and up, of which every reader reads
+    only bits below |G|: row exp-1.
     """
     size = group.order
     exp = group.exponent
 
     if criterion in (Criterion.SHORT, Criterion.EXACT_EXP):
         top = (exp - 1) * size  # bit offset of row exp-1
-        parts = row_parts(group, exp - 1)
-        below_top = (1 << top) - 1
+        last_row = exp - 1 if last_row is None else last_row
+        parts = row_parts(group, last_row)
+        below_top = (1 << (last_row * size)) - 1
 
         def push(state, e):
             packed = state[1]
@@ -133,50 +139,6 @@ def _stepper(group: GroupSpec, criterion: Criterion):
 def _shared_stepper(group: GroupSpec, criterion: Criterion):
     """_stepper(group, criterion), built once: states are tuples and push is pure."""
     return _stepper(group, criterion)
-
-
-# outer -> inner: a sequence that lacks the inner criterion lacks the outer
-# one (a zero-sum-free sequence has no short zero-sum, and one without a
-# zero-sum of any length divisible by exp has none of length exp), and both
-# take the same reductions.  So the inner criterion's tree is the subtree of
-# the outer's nodes that lack it, in the same DFS order.
-_PAIRED = {Criterion.SHORT: Criterion.ANY, Criterion.EXACT_EXP: Criterion.EXP_MULTIPLE}
-
-
-@lru_cache(maxsize=None)
-def _paired_push(group: GroupSpec, outer: Criterion, inner: Criterion):
-    """The push of a paired walk, inner = _PAIRED[outer]: a state is outer's
-    (blocked, packed) and, third, inner's state while the node lacks inner,
-    None after.  While inner is alive, outer's rows below its top row and
-    inner's k rows sit side by side in one integer (inner's from row exp-1
-    on), one shift_mask translates both, and each finishes as its own push
-    in _stepper does; after, or when inner blocks e, outer's push runs alone.
-    SHORT and EXACT_EXP share their push, and every blocked set is a top
-    row, so one closure serves both pairs.
-    """
-    push_outer = _shared_stepper(group, outer)[1]
-    size = group.order
-    exp = group.exponent
-    k = 1 if inner is Criterion.ANY else exp
-    top = (exp - 1) * size  # outer's top row, where inner's rows start
-    below_top = (1 << top) - 1
-    parts = row_parts(group, exp - 1 + k)
-    inner_top = (k - 1) * size
-    inner_rows = (1 << (k * size)) - 1
-
-    def push_both(state, e):
-        s = state[2]
-        if s is None or (s[0] >> e) & 1:
-            o = push_outer(state, e)
-            return (o[0], o[1], None)
-        packed = state[1]
-        x = shift_mask((packed & below_top) | (s[1] << top), parts[e])
-        packed |= (x & below_top) << size
-        y = x >> top
-        packed_in = s[1] | ((y << size) & inner_rows) | (y >> inner_top)
-        return (packed >> top, packed, (packed_in >> inner_top, packed_in))
-
-    return push_both
 
 
 def _knapsack_stages(seq: Sequence, limit: int):

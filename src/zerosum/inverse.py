@@ -64,6 +64,7 @@ class FormTag(Enum):
 
 
 _TAG_RANK = {tag: rank for rank, tag in enumerate(FormTag)}
+_PARAMS = {FormTag.ETA_A: "xs", FormTag.ETA_B: "", FormTag.S_A: "xstg", FormTag.S_B: "g"}
 
 
 class LemmaName(Enum):
@@ -77,7 +78,8 @@ class ExtremalForm:
     """One parameterization of an extremal family.
 
     e1/e2 hold the basis for the A forms and the generating pair for the
-    B forms; x, s, t, g are present only where the family uses them.
+    B forms; x, s, t, g are present only where the family uses them
+    (_PARAMS), and construct rejects a form that sets any other.
     """
 
     tag: FormTag
@@ -128,6 +130,9 @@ def _validate_form(form: ExtremalForm) -> None:
     m, n, mn = grp.m, grp.n, grp.exponent
     if form.e2.group != grp or (form.g is not None and form.g.group != grp):
         raise ValueError("form parameters from different groups")
+    stray = [p for p in "xstg" if getattr(form, p) is not None and p not in _PARAMS[form.tag]]
+    if stray:
+        raise ValueError(f"{form.tag.value} takes no {', '.join(stray)}")
     if order_of(form.e2) != mn:
         raise ValueError(f"ord(e2) = {order_of(form.e2)}, need exp(G) = {mn}")
     if form.tag in (FormTag.ETA_A, FormTag.S_A):

@@ -42,13 +42,19 @@ exists_lacking_subsequence() walks the sub-multisets of one sequence and
 stops at the first node of a target length.  The node budget caps the nodes
 one search visits, so a search cut short reports exactly that many.
 
-A paired walk (_search) also tallies an inner criterion whose tree is part
-of the outer one's (criteria._PAIRED: D inside eta, s_exp_mult inside s):
-the inner stepper state rides in the state while the node lacks the inner
-criterion, and while it does, one shift_mask call pushes both
-(criteria._paired_push).  Both outcomes, nodes included, are those of walks
-of their own.  The budget counts the outer nodes, so a paired walk cut
-short keeps only the outer outcome.
+The one walk of check_direct_formulas (_ONE_WALK) walks s and tallies the
+other three constants on its nodes.  Its stepper keeps s's exact rows up to
+the depth cap (criteria._stepper's last_row), so a node lacks s_exp_mult
+iff bit 0 is clear in its rows k*exp(G): a zero-sum of a length divisible
+by exp(G) is hereditary, so those nodes are the s_exp_mult walk's subtree,
+under the same reductions.  T lacks short zero-sums iff 0^(exp-1) T lacks
+zero-sums of length exp, and a zero-sum of T pads with zeros to a length
+divisible by exp, so s - eta = s_exp_mult - D = exp - 1: the nodes with
+count exp - 1 at index 0, the subtree below 0^(exp-1), are the eta walk
+with 0^(exp-1) in front, and those that lack s_exp_mult the D walk.
+Automorphisms fix 0, so pruning keeps the same nodes.  Every outcome,
+nodes included, is that of a walk of its own.  The budget counts the s
+nodes, so a walk cut short keeps only s's outcome.
 
 With workers > 1, where the platform can fork, the parent walks from the
 root down to depth _SPLIT_DEPTH and that many forked processes pull the
@@ -68,10 +74,8 @@ from operator import itemgetter
 from typing import Optional
 
 from ._bits import shift_getters
-# _stepper stays importable from here: perfbench finds the push closures through it.
-from .criteria import (  # noqa: F401
-    Criterion, _paired_push, _shared_stepper, _stepper, formula_value,
-)
+# perfbench finds the push closures through search._stepper.
+from .criteria import Criterion, _shared_stepper, _stepper, formula_value
 from .groups import (
     AUT_ENUMERATION_MAX_ORDER, GroupSpec, _orbit_size, aut_getters, aut_permutations,
     least_image,
@@ -90,6 +94,9 @@ _SPLIT_DEPTH = 4  # with workers > 1, forked workers take the subtrees below it
 # (217,259), and the trie wins 1.4-2.5x from C3+C33 (285,005) on, C7+C7
 # (298,220) included.
 _PACKED_MAX_BITS = 150_000
+# The criteria of check_direct_formulas's one walk, in the order it reports
+# them: s walked, s_exp_mult read off its rows, eta and D off its slice.
+_ONE_WALK = (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE, Criterion.SHORT, Criterion.ANY)
 
 
 @dataclass(frozen=True)
@@ -355,13 +362,13 @@ class _Ctx(_Tally):
     packed test (guards, deltas) where _packed_bits is at most
     _PACKED_MAX_BITS and by the trie above.
 
-    A paired walk, criteria = (outer, inner), also tallies inner in
-    self.inner; its states carry the inner stepper state third
-    (criteria._paired_push)."""
+    The one walk, criteria = _ONE_WALK, also tallies s_exp_mult, eta and D
+    in self.more: its stepper keeps s's rows up to the cap, zeros has bit 0
+    of each row k*exp set, and pad = exp - 1 is the slice's count at index 0."""
 
     __slots__ = (
         "from_mask", "push", "caps", "guards", "deltas", "trie", "budget", "limit",
-        "frontier", "complete", "inner",
+        "frontier", "complete", "more", "zeros", "pad",
     )
 
     def __init__(self, group, criteria, caps, prune, budget, limit=None, frontier=None):
@@ -380,11 +387,15 @@ class _Ctx(_Tally):
         self.frontier = frontier
         self.complete = True
         if len(criteria) > 1:
-            self.push = _paired_push(group, *criteria)
-            self.inner = _Tally(group, criteria[1])
+            exp = group.exponent
+            self.push = _stepper(group, criteria[0], self.cap)[1]
+            self.more = tuple(_Tally(group, c) for c in criteria[1:])
+            lengths = Criterion.EXP_MULTIPLE.forbidden_lengths(exp, self.cap)
+            self.zeros = sum(1 << (l * group.order) for l in lengths)
+            self.pad = exp - 1
         else:
             self.push = _shared_stepper(group, criteria[0])[1]
-            self.inner = None
+            self.more = None
 
     def orbit_value(self, counts):
         """The packed value of counts for _dfs, None off the packed test."""
@@ -410,11 +421,23 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
     ctx.nodes += 1
     if length >= ctx.best:
         ctx.record(counts, length)
-    inner = ctx.inner
-    if inner is not None and state[2] is not None:
-        inner.nodes += 1
-        if length >= inner.best:
-            inner.record(counts, length)
+    more = ctx.more
+    if more is not None:  # the one walk: s_exp_mult, then eta and D on the slice
+        mult, eta, d = more
+        lacks_mult = not state[1] & ctx.zeros
+        if lacks_mult:
+            mult.nodes += 1
+            if length >= mult.best:
+                mult.record(counts, length)
+        if counts[0] == ctx.pad:
+            short = length - ctx.pad
+            eta.nodes += 1
+            if short >= eta.best:
+                eta.record(counts, short)
+            if lacks_mult:
+                d.nodes += 1
+                if short >= d.best:
+                    d.record(counts, short)
     # The children: the free elements from start on, lowest first, as a
     # loop over range(start, size) would take them.
     free = ctx.from_mask[start] & ~state[0]
@@ -447,13 +470,13 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
 def _walk(ctx: _Ctx, top):
     """Walk the subtree below top, the root or a frontier node (counts,
     state, start) of length sum(counts): one (best, best_list, nodes,
-    complete) per criterion of ctx, the outer one's first."""
+    complete) per criterion of ctx, in its order."""
     counts0, state, start = top
     try:
         _dfs(ctx, list(counts0), state, start, sum(counts0), ctx.orbit_value(counts0))
     except _BudgetExhausted:
         ctx.complete = False
-    return [(t.best, t.best_list, t.nodes, ctx.complete) for t in (ctx, ctx.inner) if t is not None]
+    return [(t.best, t.best_list, t.nodes, ctx.complete) for t in (ctx, *(ctx.more or ()))]
 
 
 def _run_subtree(group, criteria, top, prune, budget):
@@ -584,12 +607,11 @@ def longest_lacking_search(
 
 
 def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> list[SearchOutcome]:
-    """longest_lacking_search for criteria[0], or for both criteria of a pair
-    (outer, _PAIRED[outer], see the criteria module) in one walk: a
-    SearchOutcome per criterion, each the one longest_lacking_search
-    returns.  A paired walk cut short by the budget returns the outer
-    outcome only (the walk of its own is cut at the same node); the inner
-    criterion must then be searched alone."""
+    """longest_lacking_search for criteria[0], or for the four criteria of
+    _ONE_WALK in one walk (see the module docstring): a SearchOutcome per
+    criterion, each the one longest_lacking_search returns.  The one walk
+    cut short by the budget returns s's outcome only (the walk of its own
+    is cut at the same node); the other three must then be searched alone."""
     opts = options or SearchOptions()
     criterion = criteria[0]
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
@@ -601,10 +623,8 @@ def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> lis
         # automorphism fixes, so the root keeps one child, {0} (blocked on C1
         # all the same), and blocks the rest.  Every push rebuilds the
         # blocked set from the packed rows, so no node below the root sees
-        # these blocks.  The outer blocked set decides the children of a
-        # paired walk, so its inner state needs none.
+        # these blocks.
         state0 = (state0[0] | (((1 << group.order) - 1) ^ 1), state0[1])
-    state0 += tuple(_shared_stepper(group, c)[0] for c in criteria[1:])
     root = ((0,) * group.order, state0, 0)
     if opts.workers > 1 and _can_fork():
         found = _forked_search(root, opts.workers, group, criteria, prune, opts.node_budget)
@@ -613,11 +633,18 @@ def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> lis
     if not found[0][3]:
         found = found[:1]
 
-    reductions = (aut_getters(group) if prune else (), shift_getters(group) if shiftn else ())
-    return [
-        SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, *reductions)
-        for best, best_list, nodes, complete in found
+    aut = aut_getters(group) if prune else ()
+    shifts = shift_getters(group) if shiftn else ()
+    outcomes = [
+        SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, aut, shifts)
+        for best, best_list, nodes, complete in found[:2]
     ]
+    pad = group.exponent - 1
+    for best, best_list, nodes, complete in found[2:]:
+        # eta and D: the slice's tables less 0^(exp-1), walked with no translations.
+        tables = sorted({(c[0] - pad, *c[1:]) for c in best_list})
+        outcomes.append(SearchOutcome(group, best, tables, nodes, complete, aut))
+    return outcomes
 
 
 def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_length: int) -> bool:

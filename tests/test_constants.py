@@ -61,6 +61,7 @@ def test_check_direct_formulas_examples():
     }
     ok, reports = check_direct_formulas(GroupSpec(3, 3))
     assert ok
+    assert len({r.elapsed_ms for r in reports}) == 1  # one walk: all four carry its time
     assert {r.criterion: r.computed_constant for r in reports} == {
         Criterion.ANY: 5, Criterion.SHORT: 7, Criterion.EXACT_EXP: 9, Criterion.EXP_MULTIPLE: 7,
     }
@@ -115,50 +116,54 @@ def _same_report(r):
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (3, 6)])
 def test_paired_walks_report_what_single_searches_do(n1, n2):
-    # check_direct_formulas walks D inside eta's walk and s_exp_mult inside
-    # s's; every report must be longest_lacking's, nodes included, under
-    # every setting (unpruned ones on ORACLE_GROUPS_16 only) and budget.
-    # The budgets: 0; half D's nodes, which cuts both walks of each pair;
-    # D's nodes, which cuts eta's walk but not D's where eta has more nodes
-    # (and both s walks); and a cap that cuts neither where the setting's
-    # walks fit in it.  The cap is 62,000 nodes on the default settings of
-    # the noncyclic groups, so C3+C6 and C2+C8 (s: 7,924 and 61,464 nodes)
-    # walk in full, and 2,000 elsewhere.  Forked workers walk every subtree
-    # up to the budget left before they fall back to one process, so two
-    # workers run only where the walks fit in the cap, and only on D's
-    # nodes (a cut that sends the split walk back to one process) and the
-    # cap.  Their reports must be the one-worker searches' (outputs do not
-    # depend on workers).
+    # check_direct_formulas walks s and reads s_exp_mult off its rows and
+    # eta and D off its slice below 0^(exp-1); every report must be
+    # longest_lacking's, nodes included, under every setting (unpruned ones
+    # on ORACLE_GROUPS_16 only) and budget.  The budgets: 0; exp - 1, which
+    # cuts the s walk just before the slice (the nodes 0^j, j < exp - 1,
+    # come first); exp - 1 + eta's nodes, which cuts it just after; half
+    # D's nodes, which cuts every walk; D's nodes, which cuts the s walk
+    # and, where eta has more nodes, eta's own walk but not D's; and a cap
+    # that cuts nothing where the setting's walks fit in it.  The cap is 62,000 nodes on the
+    # default settings of the noncyclic groups, so C3+C6 and C2+C8 (s:
+    # 7,924 and 61,464 nodes) walk in full, and 2,000 elsewhere.  Forked
+    # workers walk every subtree up to the budget left before they fall
+    # back to one process, so two workers run only where the walks fit in
+    # the cap, and only on D's nodes (a cut that sends the split walk back
+    # to one process) and the cap.  Their reports must be the one-worker
+    # searches' (outputs do not depend on workers).
     group = GroupSpec(n1, n2)
+    pad = group.exponent - 1
     pruning = (True, False) if (n1, n2) in ORACLE_GROUPS_16 else (True,)
     for prune, shiftn in product(pruning, (True, False)):
         opts = partial(SearchOptions, aut_pruning=prune, shift_normalize=shiftn)
         cap = 62_000 if prune and shiftn and n1 > 1 else 2_000
         capped = [longest_lacking(group, c, opts(node_budget=cap)) for c in Criterion]
-        d_nodes = capped[0].nodes_visited
-        for budget in sorted({0, d_nodes // 2, d_nodes, cap}):
+        d_nodes, eta_nodes = capped[0].nodes_visited, capped[1].nodes_visited
+        for budget in sorted({0, pad, pad + eta_nodes, d_nodes // 2, d_nodes, cap}):
             single = capped if budget == cap else [
                 longest_lacking(group, c, opts(node_budget=budget)) for c in Criterion]
             forks = budget >= d_nodes and all(r.complete for r in capped)
             for workers in ((1, 2) if forks else (1,)):
-                ok, paired = check_direct_formulas(group, opts(node_budget=budget, workers=workers))
+                ok, reports = check_direct_formulas(group, opts(node_budget=budget, workers=workers))
                 key = (prune, shiftn, workers, budget)
-                assert [_same_report(r) for r in paired] == [_same_report(r) for r in single], key
+                assert [_same_report(r) for r in reports] == [_same_report(r) for r in single], key
                 assert ok == all(r.matches_formula for r in single), key
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_between_the_s_walks_cuts_s_only(workers):
     # C3+C6 s visits 7,924 nodes and s_exp_mult 7,823: a budget of 7,850
-    # cuts the paired walk, so s_exp_mult is walked again alone, in full.
-    # The reports of one shared walk carry its time, D's and eta's here.
+    # cuts the one walk, so D, eta and s_exp_mult are walked again alone,
+    # each in full.
     group = GroupSpec(3, 6)
     ok, reports = check_direct_formulas(group, SearchOptions(workers=workers, node_budget=7_850))
     d, eta, s, s_mult = reports
     assert not ok
     assert (s.nodes_visited, s.complete) == (7_850, False)
+    assert (d.nodes_visited, d.complete, d.computed_constant) == (252, True, 8)
+    assert (eta.nodes_visited, eta.complete, eta.computed_constant) == (277, True, 10)
     assert (s_mult.nodes_visited, s_mult.complete, s_mult.computed_constant) == (7_823, True, 13)
-    assert d.complete and eta.complete and d.elapsed_ms == eta.elapsed_ms
 
 
 def test_exists_lacking_subsequence_matches_brute_force():

@@ -17,7 +17,7 @@ from zerosum import (
     witness,
 )
 from zerosum import _bits, criteria
-from zerosum.criteria import _PAIRED, _knapsack_stages, _paired_push, _stepper
+from zerosum.criteria import _knapsack_stages, _stepper
 from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence, subset_reach
 
 ORACLE_GROUPS = [GroupSpec(2, 2), GroupSpec(1, 5), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(1, 12)]
@@ -134,27 +134,31 @@ def test_packed_rows_match_subset_reach(n1, n2):
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (1, 36)])
-def test_paired_push_matches_the_single_pushes(n1, n2):
-    """The fused push of each pair gives, term by term, the outer push's
-    state and the inner push's, and once inner blocks a term, None for
-    good.  Half the runs take the terms inner leaves free where it can, so
-    the inner state lives long."""
+def test_exact_rows_up_to_the_cap_match_subset_reach(n1, n2):
+    """EXACT_EXP's stepper with rows up to R, the depth cap of the s walk
+    (formula + 2): row l, for every l <= R, holds the negated sums of
+    length exactly l, so bit 0 is a zero-sum of that length, and nothing
+    lies above row R; the blocked set reads row exp-1 as the stepper with
+    rows up to exp-1 does.  The runs go past R terms, and half of them take
+    the terms the blocked set leaves free, as the s walk does."""
     group = GroupSpec(n1, n2)
     size, exp = group.order, group.exponent
+    neg = _bits.neg_table(group)
+    last = criteria.formula_value(group, Criterion.EXACT_EXP) + 2
+    (r0, push_rows), (b0, push_base) = (
+        _stepper(group, Criterion.EXACT_EXP, last), _stepper(group, Criterion.EXACT_EXP))
     rng = random.Random(89 * n1 + n2)
-    for outer, inner in _PAIRED.items():
-        (o0, push_outer), (i0, push_inner) = _stepper(group, outer), _stepper(group, inner)
-        push = _paired_push(group, outer, inner)
-        for run in range(6):
-            o, i, state, alive = o0, i0, (*o0, i0), True
-            for _ in range(2 * exp + 3):
-                free = [e for e in range(size) if not (i[0] >> e) & 1]
-                e = rng.choice(free) if run % 2 and free else rng.randrange(size)
-                alive = alive and not (i[0] >> e) & 1
-                o, i = push_outer(o, e), push_inner(i, e)
-                state = push(state, e)
-                assert state[:2] == o, (outer, e)
-                assert state[2] == (i if alive else None), (inner, e)
+    for run in range(6):
+        state, base, reach = r0, b0, {(0, 0, 0)}
+        for _ in range(last + 2):
+            free = [e for e in range(size) if not (base[0] >> e) & 1]
+            e = rng.choice(free) if run % 2 and free else rng.randrange(size)
+            state, base = push_rows(state, e), push_base(base, e)
+            reach = _add_term(reach, group.element_at(e), n1, n2)
+            rows = _unpack(state[1], size, last + 1)
+            assert rows == [_negate(x, neg) for x in _reach_rows(reach, n2, last + 1)]
+            assert [row & 1 for row in rows] == [(l, 0, 0) in reach for l in range(last + 1)]
+            assert state[0] & ((1 << size) - 1) == base[0]
 
 
 def test_lacks_examples():

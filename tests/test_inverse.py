@@ -62,6 +62,14 @@ def test_construct_validation_errors():
         construct(ExtremalForm(FormTag.S_A, e1, e2, x=1, s=1, t=0, g=g.zero))
     with pytest.raises(ValueError, match="translation"):
         construct(ExtremalForm(FormTag.S_B, e1, e2))
+    # Parameters a family does not use: x and s on the B tags, t on all but
+    # S_A, g on the eta tags.
+    with pytest.raises(ValueError, match="eta_a takes no t, g"):
+        construct(ExtremalForm(FormTag.ETA_A, e1, e2, x=1, s=1, t=1, g=g.element(1, 1)))
+    with pytest.raises(ValueError, match="s_b takes no t"):
+        construct(ExtremalForm(FormTag.S_B, e1, e2, t=1, g=g.zero))
+    with pytest.raises(ValueError, match="eta_b takes no x, s"):
+        construct(ExtremalForm(FormTag.ETA_B, e1, e2, x=1, s=2))
     with pytest.raises(ValueError, match="rank"):
         c5 = GroupSpec.cyclic(5)
         construct(ExtremalForm(FormTag.ETA_A, c5.element(0, 1), c5.element(0, 2), x=1, s=1))
