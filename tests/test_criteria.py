@@ -161,6 +161,39 @@ def test_exact_rows_up_to_the_cap_match_subset_reach(n1, n2):
             assert state[0] & ((1 << size) - 1) == base[0]
 
 
+@pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (1, 36)])
+def test_paired_push_matches_the_single_pushes(n1, n2):
+    """The one walk's push (EXACT_EXP with rows up to the cap) stands for
+    both pairs, s with s_exp_mult and, below 0^(exp-1), eta with D: term by
+    term its blocked set is the outer single push's, and a clear bit 0 in
+    rows exp, 2*exp, ... says that the inner single push has blocked no
+    term yet.  Half the runs take the terms inner leaves free where it can,
+    so the inner criterion stays lacking long."""
+    group = GroupSpec(n1, n2)
+    size, exp = group.order, group.exponent
+    low = (1 << size) - 1
+    last = criteria.formula_value(group, Criterion.EXACT_EXP) + 2
+    r0, push = _stepper(group, Criterion.EXACT_EXP, last)
+    zeros = sum(1 << (l * size) for l in range(exp, last + 1, exp))
+    padded = r0
+    for _ in range(exp - 1):
+        padded = push(padded, group.zero.index)
+    pairs = [(Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE, r0, last),
+             (Criterion.SHORT, Criterion.ANY, padded, last - (exp - 1))]
+    rng = random.Random(89 * n1 + n2)
+    for outer, inner, start, terms in pairs:
+        (o0, push_outer), (i0, push_inner) = _stepper(group, outer), _stepper(group, inner)
+        for run in range(6):
+            state, o, i, alive = start, o0, i0, True
+            for _ in range(terms):
+                free = [e for e in range(size) if not (i[0] >> e) & 1]
+                e = rng.choice(free) if run % 2 and free else rng.randrange(size)
+                alive = alive and not (i[0] >> e) & 1
+                state, o, i = push(state, e), push_outer(o, e), push_inner(i, e)
+                assert state[0] & low == o[0], (outer, e)
+                assert (not state[1] & zeros) == alive, (inner, e)
+
+
 def test_lacks_examples():
     g = GroupSpec(2, 2)
     s = parse_sequence(g, "(1,0) (0,1) (1,1)")
