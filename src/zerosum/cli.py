@@ -1,7 +1,8 @@
 """Command line front end: every verification as a scriptable command.
 
 Exit codes partition outcomes: 0 verified, 1 mathematical counterexample
-found, 2 user error, 3 node budget exhausted.  Data goes to stdout (or
+found, 2 user error, 3 node budget exhausted, 4 internal error (any other
+exception, such as a search worker that failed).  Data goes to stdout (or
 --output), errors to stderr.
 """
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USER_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:
@@ -288,12 +290,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             _write(args.output, "", "a")
             created = not existed
         return args.func(args, opts)
-    except ValueError as exc:
+    except Exception as exc:
         if created:
             # A command that fails leaves no file behind that only the check made.
             os.remove(args.output)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
+        if isinstance(exc, ValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USER_ERROR
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -1,24 +1,23 @@
 """The four zero-sum constraints and exact decision procedures for them.
 
-Decisions run on exact reachability tables over (subsequence length, sum),
-never on the 2^|S| subsets.  The per-criterion stepper (_stepper) grows one
-term at a time and keeps only the rows its criterion needs; lacks(), the
-search DFS and exists_lacking_subsequence() share one per (group, criterion)
-(_shared_stepper).  The length-indexed table, a bounded-knapsack pass over
-the support (_knapsack_stages), records every exact length;
-has_zero_sum_of_length() and witness() run on it.
+Decisions run on one exact reachability table over (subsequence length,
+sum), never on the 2^|S| subsets.  The per-criterion stepper (_stepper)
+grows it one term at a time and keeps only the rows its criterion needs,
+packed into one integer: the state.  lacks(), the search DFS and
+exists_lacking_subsequence() share one per (group, criterion)
+(_shared_stepper).  EXACT_EXP's stepper with rows up to a given length is
+the knapsack table (_knapsack_stages) that has_zero_sum_of_length() and
+witness() read.
 
-Both tables pack their rows into one integer, row l at bits
-[l*|G|, (l+1)*|G|), and hold negated sums: bit -x of a row for each sum x
-it records.  Appending e moves every negated sum by -e, so adding a term
-translates every row with one shift_mask call on the repeated-row masks of
-_bits.row_parts (one table per group, rebuilt with twice the rows when a
-caller needs more).  The stepper's blocked set, the elements whose append
-completes a forbidden zero-sum read off as bit e, is its top row as it
-stands: eta's row l counts the sums of length at most l, and the mod-k rows
-of D and s_exp_mult hold every sum, the empty one included.  The s walk of
-check_direct_formulas keeps s's exact rows past exp(G) - 1 (last_row), so
-bit 0 of its rows k*exp(G) tells which nodes lack s_exp_mult.
+Row l lies at bits [l*|G|, (l+1)*|G|) and holds negated sums: bit -x for
+each sum x it records.  Appending e moves every negated sum by -e, so a
+push translates every row with one shift_mask call on the repeated-row
+masks of _bits.row_parts.  The blocked set, the elements whose append
+completes a forbidden zero-sum, is the top row as it stands, bit e of
+state >> top: eta's row l counts the sums of length at most l, and the
+mod-k rows of D and s_exp_mult hold every sum, the empty one included.
+The s walk of check_direct_formulas keeps s's exact rows past exp(G) - 1
+(last_row), so bit 0 of its rows k*exp(G) tells which nodes lack s_exp_mult.
 """
 
 from __future__ import annotations
@@ -80,28 +79,29 @@ def formula_value(group: GroupSpec, criterion: Criterion) -> int:
 
 
 def _stepper(group: GroupSpec, criterion: Criterion, last_row: Optional[int] = None):
-    """Per-criterion incremental state.
+    """(start, push, top): one criterion's incremental state, one integer.
 
-    A state's first entry is the "blocked" set: the elements e whose append
-    completes a forbidden zero-sum.  The second entry packs the rows needed
-    to maintain it into one integer, row l at bits [l*|G|, (l+1)*|G|) (see
-    _bits), and the rows hold negated sums: bit -x of row l for each sum x
-    the row records, so appending e closes a zero-sum with one of them iff
-    bit e of row l is set.  The rows are, for l < exp, the sums of length
-    exactly l for EXACT_EXP and of length at most l for SHORT (the empty sum
-    starts in every row); for ANY (k = 1: every length is a multiple of 1)
-    and EXP_MULTIPLE (k = exp), every sum, the empty one included, by length
-    l mod k.  So the blocked set is always the top row, as it stands.
-    Appending e moves every negated sum by -e: row l+1 |= row l - e, the
-    same recurrence for "exactly l" and "at most l", so SHORT and EXACT_EXP
-    share one push and differ in their start states; the mod-k push wraps
-    the top row onto row 0.  Each push translates every row with one
-    shift_mask call on parts[e] (_bits.row_parts: entry e translates by -e).
+    The state packs the rows the criterion needs, row l at bits
+    [l*|G|, (l+1)*|G|) (see _bits), of negated sums: bit -x of row l for
+    each sum x the row records, so appending e closes a zero-sum with one
+    of them iff bit e of row l is set.  The rows are, for l < exp, the sums
+    of length exactly l for EXACT_EXP and of length at most l for SHORT
+    (the empty sum starts in every row); for ANY (k = 1: every length is a
+    multiple of 1) and EXP_MULTIPLE (k = exp), every sum, the empty one
+    included, by length l mod k.  So the blocked set, the elements whose
+    append completes a forbidden zero-sum, is the top row as it stands:
+    bit e of state >> top.  push(state, e) appends e, moving every negated
+    sum by -e: row l+1 |= row l - e, the same recurrence for "exactly l"
+    and "at most l", so SHORT and EXACT_EXP share one push and differ in
+    their start states; the mod-k push wraps the top row onto row 0.  Each
+    push is one shift_mask call on parts[e] (_bits.row_parts: entry e
+    translates by -e).
 
-    With last_row >= exp-1, EXACT_EXP keeps its exact rows up to last_row:
-    bit 0 of row l is a zero-sum of length exactly l.  The blocked set is
-    still packed >> top, rows exp-1 and up, of which every reader reads
-    only bits below |G|: row exp-1.
+    With last_row, EXACT_EXP keeps its exact rows 0..last_row, of any
+    length: bit 0 of row l is a zero-sum of length exactly l.  That is the
+    knapsack table (_knapsack_stages).  From last_row = exp-1 on, state >>
+    top still reads row exp-1 in its bits below |G|, the only bits a reader
+    of the blocked set reads.
     """
     size = group.order
     exp = group.exponent
@@ -112,58 +112,47 @@ def _stepper(group: GroupSpec, criterion: Criterion, last_row: Optional[int] = N
         parts = row_parts(group, last_row)
         below_top = (1 << (last_row * size)) - 1
 
-        def push(state, e):
-            packed = state[1]
-            packed |= shift_mask(packed & below_top, parts[e]) << size
-            return (packed >> top, packed)
+        def push(packed, e):
+            return packed | shift_mask(packed & below_top, parts[e]) << size
 
         # The empty sum: in every row for SHORT (the repunit), in row 0 for EXACT_EXP.
         p = ((1 << (exp * size)) - 1) // ((1 << size) - 1) if criterion is Criterion.SHORT else 1
-        return (p >> top, p), push
+        return p, push, top
 
     k = 1 if criterion is Criterion.ANY else exp
     top = (k - 1) * size  # row k-1: its elements complete a forbidden length
     parts = row_parts(group, k)
     all_rows = (1 << (k * size)) - 1
 
-    def push(state, e):
-        packed = state[1]
+    def push(packed, e):
         x = shift_mask(packed, parts[e])
-        packed |= ((x << size) & all_rows) | (x >> top)
-        return (packed >> top, packed)
+        return packed | ((x << size) & all_rows) | (x >> top)
 
-    return (1 >> top, 1), push
+    return 1, push, top
 
 
 @lru_cache(maxsize=None)
 def _shared_stepper(group: GroupSpec, criterion: Criterion):
-    """_stepper(group, criterion), built once: states are tuples and push is pure."""
+    """_stepper(group, criterion), built once: states are integers and push is pure."""
     return _stepper(group, criterion)
 
 
 def _knapsack_stages(seq: Sequence, limit: int):
     """Fill the (length, sum) table with rows 0..limit, one support element at a time.
 
-    Yields the table, packed into one integer (row l at bits
-    [l*|G|, (l+1)*|G|), see _bits) of negated sums (bit -x of row l for
-    each sum x of length l), before the first support element (only the
-    empty subsequence) and after each one.  A zero-sum of length l is bit 0
-    of row l either way, since -0 = 0.  Each copy of an element is
-    incorporated separately (multiplicities are small here; plain repetition
-    beats binary splitting in simplicity).
+    Pushes the terms through EXACT_EXP's stepper with rows up to limit and
+    yields its state (bit -x of row l for each sum x of length l) before
+    the first support element and after each one.  A zero-sum of length l
+    is bit 0 of row l, since -0 = 0.  Each copy of an element is pushed
+    separately (multiplicities are small here).
     """
-    size = seq.group.order
-    parts = row_parts(seq.group, limit)
-    below_top = (1 << (limit * size)) - 1
-    packed = 1
+    packed, push, _ = _stepper(seq.group, Criterion.EXACT_EXP, limit)
     yield packed
     for i, mult in enumerate(seq.counts):
-        if not mult:
-            continue
-        pe = parts[i]
-        for _ in range(mult):
-            packed |= shift_mask(packed & below_top, pe) << size
-        yield packed
+        if mult:
+            for _ in range(mult):
+                packed = push(packed, i)
+            yield packed
 
 
 def lacks(seq: Sequence, criterion: Criterion) -> bool:
@@ -172,10 +161,10 @@ def lacks(seq: Sequence, criterion: Criterion) -> bool:
     Feeds the terms to the criterion's stepper in index order and stops at
     the first term that would complete a forbidden zero-sum.
     """
-    state, push = _shared_stepper(seq.group, criterion)
+    state, push, top = _shared_stepper(seq.group, criterion)
     for e, mult in enumerate(seq.counts):
         for _ in range(mult):
-            if (state[0] >> e) & 1:
+            if (state >> (top + e)) & 1:
                 return False
             state = push(state, e)
     return True

@@ -32,11 +32,12 @@ set under every option).  Its least table and its automorphism classes come
 from the representatives and their translates by groups.least_image, and its
 size from the classes, without the orbit.
 
-Each node extends its parent's state by one push of the criterion's stepper
-(criteria._stepper), whose blocked set holds the elements that no child may
-append.  A node's children are the set bits of one free-element mask, the
-elements from the node's last one on less the blocked set, lowest first:
-the order of a loop over the elements, but a node with none runs no loop.
+Each node extends its parent's state, one integer, by one push of the
+criterion's stepper (criteria._stepper); state >> top is its blocked set,
+the elements that no child may append.  A node's children are the set bits
+of its candidate mask (the elements from its last one on; 0 alone at a
+translation-normalized root) less the blocked set, lowest first: the order
+of a loop over the elements, but a node with none runs no loop.
 One DFS (_dfs) serves every walk: a search is one walk from the root, and
 exists_lacking_subsequence() walks the sub-multisets of one sequence and
 stops at the first node of a target length.  The node budget caps the nodes
@@ -362,12 +363,13 @@ class _Ctx(_Tally):
     packed test (guards, deltas) where _packed_bits is at most
     _PACKED_MAX_BITS and by the trie above.
 
-    The one walk, criteria = _ONE_WALK, also tallies s_exp_mult, eta and D
-    in self.more: its stepper keeps s's rows up to the cap, zeros has bit 0
-    of each row k*exp set, and pad = exp - 1 is the slice's count at index 0."""
+    A node's blocked set is state >> top.  The one walk, criteria =
+    _ONE_WALK, also tallies s_exp_mult, eta and D in self.more: its stepper
+    keeps s's rows up to the cap, zeros has bit 0 of each row k*exp set,
+    and pad = exp - 1 is the slice's count at index 0."""
 
     __slots__ = (
-        "from_mask", "push", "caps", "guards", "deltas", "trie", "budget", "limit",
+        "from_mask", "push", "top", "caps", "guards", "deltas", "trie", "budget", "limit",
         "frontier", "complete", "more", "zeros", "pad",
     )
 
@@ -388,13 +390,13 @@ class _Ctx(_Tally):
         self.complete = True
         if len(criteria) > 1:
             exp = group.exponent
-            self.push = _stepper(group, criteria[0], self.cap)[1]
+            _, self.push, self.top = _stepper(group, criteria[0], self.cap)
             self.more = tuple(_Tally(group, c) for c in criteria[1:])
             lengths = Criterion.EXP_MULTIPLE.forbidden_lengths(exp, self.cap)
             self.zeros = sum(1 << (l * group.order) for l in lengths)
             self.pad = exp - 1
         else:
-            self.push = _shared_stepper(group, criteria[0])[1]
+            _, self.push, self.top = _shared_stepper(group, criteria[0])
             self.more = None
 
     def orbit_value(self, counts):
@@ -404,17 +406,19 @@ class _Ctx(_Tally):
 
 @lru_cache(maxsize=None)
 def _from_masks(size: int) -> tuple[int, ...]:
-    """from_masks[start]: the bits of the elements start..size-1, a node's
-    candidate children."""
-    return tuple(((1 << size) - 1) >> start << start for start in range(size))
+    """from_masks[e]: the bits of the elements e..size-1, the candidate
+    mask of a node whose last element is e."""
+    return tuple(((1 << size) - 1) >> e << e for e in range(size))
 
 
-def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) -> None:
-    # orbit is ctx.orbit_value(counts), kept up to date by one add per child.
+def _dfs(ctx: _Ctx, counts: list[int], state: int, mask: int, length: int, orbit) -> None:
+    """Visit the node counts and walk below it: state is its stepper's
+    integer, mask its candidate children (from_mask[e] after appending e),
+    orbit ctx.orbit_value(counts), kept up to date by one add per child."""
     if length == ctx.limit:
         if ctx.frontier is None:
             raise _TargetReached
-        ctx.frontier.append((tuple(counts), state, start))
+        ctx.frontier.append((tuple(counts), state, mask))
         return
     if ctx.nodes == ctx.budget:
         raise _BudgetExhausted
@@ -424,7 +428,7 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
     more = ctx.more
     if more is not None:  # the one walk: s_exp_mult, then eta and D on the slice
         mult, eta, d = more
-        lacks_mult = not state[1] & ctx.zeros
+        lacks_mult = not state & ctx.zeros
         if lacks_mult:
             mult.nodes += 1
             if length >= mult.best:
@@ -438,11 +442,12 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
                 d.nodes += 1
                 if short >= d.best:
                     d.record(counts, short)
-    # The children: the free elements from start on, lowest first, as a
-    # loop over range(start, size) would take them.
-    free = ctx.from_mask[start] & ~state[0]
+    # The children: the candidates not blocked, lowest first, as a loop
+    # over the elements would take them.
+    free = mask & ~(state >> ctx.top)
     if not free:
         return
+    from_mask = ctx.from_mask
     caps = ctx.caps
     guards = ctx.guards
     deltas = ctx.deltas
@@ -463,17 +468,17 @@ def _dfs(ctx: _Ctx, counts: list[int], state, start: int, length: int, orbit) ->
         if trie is not None and not _is_orbit_minimal(counts, trie):
             counts[e] -= 1
             continue
-        _dfs(ctx, counts, push(state, e), e, length + 1, child)
+        _dfs(ctx, counts, push(state, e), from_mask[e], length + 1, child)
         counts[e] -= 1
 
 
 def _walk(ctx: _Ctx, top):
     """Walk the subtree below top, the root or a frontier node (counts,
-    state, start) of length sum(counts): one (best, best_list, nodes,
-    complete) per criterion of ctx, in its order."""
-    counts0, state, start = top
+    state, mask) as _dfs takes them: one (best, best_list, nodes, complete)
+    per criterion of ctx, in its order."""
+    counts0, state, mask = top
     try:
-        _dfs(ctx, list(counts0), state, start, sum(counts0), ctx.orbit_value(counts0))
+        _dfs(ctx, list(counts0), state, mask, sum(counts0), ctx.orbit_value(counts0))
     except _BudgetExhausted:
         ctx.complete = False
     return [(t.best, t.best_list, t.nodes, ctx.complete) for t in (ctx, *(ctx.more or ()))]
@@ -617,15 +622,10 @@ def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> lis
     shiftn = opts.shift_normalize and criterion in (Criterion.EXACT_EXP, Criterion.EXP_MULTIPLE)
     prune = opts.aut_pruning and group.order <= AUT_ENUMERATION_MAX_ORDER
 
-    state0 = _shared_stepper(group, criterion)[0]
-    if shiftn:
-        # Every nonempty sequence has a translate containing 0, which every
-        # automorphism fixes, so the root keeps one child, {0} (blocked on C1
-        # all the same), and blocks the rest.  Every push rebuilds the
-        # blocked set from the packed rows, so no node below the root sees
-        # these blocks.
-        state0 = (state0[0] | (((1 << group.order) - 1) ^ 1), state0[1])
-    root = ((0,) * group.order, state0, 0)
+    # Every nonempty sequence has a translate containing 0, which every
+    # automorphism fixes: a normalized root has the one candidate 0.
+    mask = 1 if shiftn else (1 << group.order) - 1
+    root = ((0,) * group.order, _shared_stepper(group, criterion)[0], mask)
     if opts.workers > 1 and _can_fork():
         found = _forked_search(root, opts.workers, group, criteria, prune, opts.node_budget)
     else:  # one worker, or a platform that cannot fork
@@ -662,7 +662,7 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
     state0 = _shared_stepper(seq.group, criterion)[0]
     ctx = _Ctx(seq.group, (criterion,), seq.counts, False, math.inf, target_length)
     try:
-        _dfs(ctx, [0] * seq.group.order, state0, 0, 0, None)
+        _dfs(ctx, [0] * seq.group.order, state0, ctx.from_mask[0], 0, None)
     except _TargetReached:
         return True
     return False

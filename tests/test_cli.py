@@ -268,6 +268,25 @@ def test_output_is_checked_before_the_search(tmp_path, capsys, monkeypatch):
         assert not new.exists(), argv
 
 
+def test_internal_error_exits_with_4_and_removes_only_a_new_output(tmp_path, capsys, monkeypatch):
+    # Any exception but ValueError is a bug or a failed worker, not a
+    # counterexample (exit 1) and not a user error (exit 2).
+    def search(*args):
+        raise RuntimeError("a search worker exited without its results")
+
+    monkeypatch.setattr(cli, "check_property", search)
+    new = tmp_path / "new.json"
+    assert main(["check", "property-D", "--m", "5", "--output", str(new)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: a search worker exited without its results\n"
+    assert captured.out == "" and not new.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    assert main(["check", "property-D", "--m", "5", "--output", str(kept)]) == 4
+    assert kept.read_text() == "old\n"
+    assert main(["check", "property-D", "--m", "5"]) == 4
+
+
 def test_workers_flag(capsys):
     code, out = run(capsys, "constants", "--group", "2,4", "--which", "s", "--workers", "2")
     assert code == 0

@@ -61,7 +61,7 @@ def test_packed_rows_match_subset_reach(n1, n2):
     terms = [group.element_at(rng.randrange(size)) for _ in range(2 * exp + 3)]
     _bits._ROW_PARTS.pop(group, None)
     steppers = {c: _stepper(group, c) for c in Criterion}
-    states = {c: state for c, (state, _) in steppers.items()}
+    states = {c: start for c, (start, _, _) in steppers.items()}
     rows_at_start = _bits._ROW_PARTS[group][0]
     blocks = {  # does a forbidden length end one term after length l?
         Criterion.ANY: lambda l: True,
@@ -83,21 +83,21 @@ def test_packed_rows_match_subset_reach(n1, n2):
             for l, x in enumerate(neg_by_len):
                 if blocks[c](l):
                     blocked |= x
-            assert states[c][0] == blocked, (k, c)
+            assert states[c] >> steppers[c][2] == blocked, (k, c)
         # ANY's one row: every sum, the empty one included (lengths mod 1,
         # as EXP_MULTIPLE's mod exp).
         every = 0
         for x in neg_by_len:
             every |= x
-        assert _unpack(states[Criterion.ANY][1], size, 1) == [every]
+        assert _unpack(states[Criterion.ANY], size, 1) == [every]
         exact = (neg_by_len + [0] * exp)[:exp]
-        assert _unpack(states[Criterion.EXACT_EXP][1], size, exp) == exact
+        assert _unpack(states[Criterion.EXACT_EXP], size, exp) == exact
         at_most = list(itertools.accumulate(exact, operator.or_))
-        assert _unpack(states[Criterion.SHORT][1], size, exp) == at_most
+        assert _unpack(states[Criterion.SHORT], size, exp) == at_most
         mod = [0] * exp
         for l, x in enumerate(neg_by_len):
             mod[l % exp] |= x
-        assert _unpack(states[Criterion.EXP_MULTIPLE][1], size, exp) == mod
+        assert _unpack(states[Criterion.EXP_MULTIPLE], size, exp) == mod
         # The last knapsack stage of each prefix; limit k grows the table.
         seq = Sequence.from_items(group, [(t, 1) for t in terms[:k]])
         for limit in {0, min(exp, k), k}:
@@ -145,20 +145,20 @@ def test_exact_rows_up_to_the_cap_match_subset_reach(n1, n2):
     size, exp = group.order, group.exponent
     neg = _bits.neg_table(group)
     last = criteria.formula_value(group, Criterion.EXACT_EXP) + 2
-    (r0, push_rows), (b0, push_base) = (
+    (r0, push_rows, top), (b0, push_base, _) = (
         _stepper(group, Criterion.EXACT_EXP, last), _stepper(group, Criterion.EXACT_EXP))
     rng = random.Random(89 * n1 + n2)
     for run in range(6):
         state, base, reach = r0, b0, {(0, 0, 0)}
         for _ in range(last + 2):
-            free = [e for e in range(size) if not (base[0] >> e) & 1]
+            free = [e for e in range(size) if not (base >> (top + e)) & 1]
             e = rng.choice(free) if run % 2 and free else rng.randrange(size)
             state, base = push_rows(state, e), push_base(base, e)
             reach = _add_term(reach, group.element_at(e), n1, n2)
-            rows = _unpack(state[1], size, last + 1)
+            rows = _unpack(state, size, last + 1)
             assert rows == [_negate(x, neg) for x in _reach_rows(reach, n2, last + 1)]
             assert [row & 1 for row in rows] == [(l, 0, 0) in reach for l in range(last + 1)]
-            assert state[0] & ((1 << size) - 1) == base[0]
+            assert (state >> top) & ((1 << size) - 1) == base >> top
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), *ORACLE_GROUPS_16, (1, 36)])
@@ -173,7 +173,7 @@ def test_paired_push_matches_the_single_pushes(n1, n2):
     size, exp = group.order, group.exponent
     low = (1 << size) - 1
     last = criteria.formula_value(group, Criterion.EXACT_EXP) + 2
-    r0, push = _stepper(group, Criterion.EXACT_EXP, last)
+    r0, push, top = _stepper(group, Criterion.EXACT_EXP, last)
     zeros = sum(1 << (l * size) for l in range(exp, last + 1, exp))
     padded = r0
     for _ in range(exp - 1):
@@ -182,16 +182,17 @@ def test_paired_push_matches_the_single_pushes(n1, n2):
              (Criterion.SHORT, Criterion.ANY, padded, last - (exp - 1))]
     rng = random.Random(89 * n1 + n2)
     for outer, inner, start, terms in pairs:
-        (o0, push_outer), (i0, push_inner) = _stepper(group, outer), _stepper(group, inner)
+        (o0, push_outer, o_top), (i0, push_inner, i_top) = (
+            _stepper(group, outer), _stepper(group, inner))
         for run in range(6):
             state, o, i, alive = start, o0, i0, True
             for _ in range(terms):
-                free = [e for e in range(size) if not (i[0] >> e) & 1]
+                free = [e for e in range(size) if not (i >> (i_top + e)) & 1]
                 e = rng.choice(free) if run % 2 and free else rng.randrange(size)
-                alive = alive and not (i[0] >> e) & 1
+                alive = alive and not (i >> (i_top + e)) & 1
                 state, o, i = push(state, e), push_outer(o, e), push_inner(i, e)
-                assert state[0] & low == o[0], (outer, e)
-                assert (not state[1] & zeros) == alive, (inner, e)
+                assert (state >> top) & low == o >> o_top, (outer, e)
+                assert (not state & zeros) == alive, (inner, e)
 
 
 def test_lacks_examples():

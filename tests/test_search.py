@@ -222,10 +222,10 @@ def test_slice_subtrees(n1, n2):
     for short, padded in ((Criterion.SHORT, Criterion.EXACT_EXP), (Criterion.ANY, Criterion.EXP_MULTIPLE)):
         base = longest_lacking_search(group, short)
         assert base.complete
-        state, push = _shared_stepper(group, padded)
+        state, push, _ = _shared_stepper(group, padded)
         for _ in range(pad):
             state = push(state, 0)
-        top = ((pad,) + (0,) * (group.order - 1), state, 0)
+        top = ((pad,) + (0,) * (group.order - 1), state, (1 << group.order) - 1)
         ctx = search._Ctx(group, (padded,), None, True, 10**7)
         ((best, best_list, nodes, complete),) = search._walk(ctx, top)
         assert complete
