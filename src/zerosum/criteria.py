@@ -7,7 +7,8 @@ packed into one integer: the state.  lacks(), the search DFS and
 exists_lacking_subsequence() share one per (group, criterion)
 (_shared_stepper).  EXACT_EXP's stepper with rows up to a given length is
 the knapsack table (_knapsack_stages) that has_zero_sum_of_length() and
-witness() read.
+witness() read, one stage per support element; each stops at the stage
+that settles its answer.
 
 Row l lies at bits [l*|G|, (l+1)*|G|) and holds negated sums: bit -x for
 each sum x it records.  Appending e moves every negated sum by -e, so a
@@ -178,21 +179,32 @@ def has_zero_sum_of_length(seq: Sequence, length: int) -> bool:
         return True
     if length > len(seq):
         return False
-    *_, last = _knapsack_stages(seq, length)
-    return bool((last >> (length * seq.group.order)) & 1)
+    bit = length * seq.group.order
+    return any((stage >> bit) & 1 for stage in _knapsack_stages(seq, length))
 
 
 def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     """One concrete forbidden zero-sum subsequence, or None when lacks() holds.
 
     Builds the (length, sum) table up to the longest forbidden length,
-    keeping its stage after each support element; the witness length is the
-    least forbidden length reachable in the last stage.  Walking the stages
-    backwards decides how many copies of each element the witness takes.
+    keeping its stage after each support element, and stops at the first
+    stage that settles the answer: the one in which the least forbidden
+    length sums to zero, or else the last.  The witness length is the least
+    forbidden length reachable in that stage.  Walking the stages backwards
+    decides how many copies of each element the witness takes; the support
+    elements past the stop take none, and so do those below the last one
+    taken.
     """
     lengths = criterion.forbidden_lengths(seq.group.exponent, len(seq))
-    stages = list(_knapsack_stages(seq, lengths[-1] if lengths else 0))
+    if not lengths:
+        return None
     size = seq.group.order
+    first = lengths[0] * size
+    stages = []
+    for stage in _knapsack_stages(seq, lengths[-1]):
+        stages.append(stage)
+        if (stage >> first) & 1:
+            break
     target = next((l for l in lengths if (stages[-1] >> (l * size)) & 1), None)
     if target is None:
         return None
@@ -201,7 +213,9 @@ def witness(seq: Sequence, criterion: Criterion) -> Optional[Sequence]:
     support = [i for i, mult in enumerate(seq.counts) if mult]
     need_l, need_idx = target, 0
     taken = [0] * size
-    for j in range(len(support) - 1, -1, -1):
+    for j in range(len(stages) - 2, -1, -1):
+        if not need_l:
+            break
         i = support[j]
         prev = stages[j]
         back = need_idx  # need_idx + c * element_i (sums negated), for c = 0, 1, ...

@@ -54,6 +54,8 @@ class GroupSpec:
             nums = [int(p) for p in parts]
         except ValueError:
             raise ValueError(f"cannot parse group {text!r}: expected 'n1,n2' or 'n'") from None
+        if min(nums) < 1:
+            raise ValueError(f"cannot parse group {text!r}: factors must be positive integers")
         if len(nums) == 1:
             return cls.cyclic(nums[0])
         if len(nums) == 2:

@@ -30,7 +30,7 @@ class Sequence:
     def __post_init__(self) -> None:
         if len(self.counts) != self.group.order:
             raise ValueError("multiplicity table has wrong size for the group")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("negative multiplicity")
 
     @classmethod

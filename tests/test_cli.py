@@ -36,6 +36,13 @@ def test_constants_bad_group(capsys):
     assert run(capsys, "constants", "--group", "nope")[0] == 2
 
 
+def test_nonpositive_group_factor_is_a_user_error_naming_the_text(capsys):
+    for text in ("0", "3,0"):
+        assert main(["constants", "--group", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot parse group '{text}'" in captured.err, text
+
+
 def test_constants_budget_exhaustion(capsys):
     code, out = run(capsys, "constants", "--group", "3,6", "--which", "s", "--budget", "40")
     assert code == 3

@@ -272,6 +272,90 @@ def test_witness_examples():
     assert witness(parse_sequence(g, "(1,0) (0,1)"), Criterion.ANY) is None
 
 
+def _full_table_witness(seq, criterion):
+    """The reference backtrack: the whole table with every stage kept, and
+    a walk back over every support element."""
+    lengths = criterion.forbidden_lengths(seq.group.exponent, len(seq))
+    stages = list(_knapsack_stages(seq, lengths[-1] if lengths else 0))
+    size = seq.group.order
+    target = next((l for l in lengths if (stages[-1] >> (l * size)) & 1), None)
+    if target is None:
+        return None
+
+    add = _bits.add_table(seq.group)
+    support = [i for i, mult in enumerate(seq.counts) if mult]
+    need_l, need_idx = target, 0
+    taken = [0] * size
+    for j in range(len(support) - 1, -1, -1):
+        i = support[j]
+        prev = stages[j]
+        back = need_idx
+        for c in range(min(seq.counts[i], need_l) + 1):
+            if (prev >> ((need_l - c) * size + back)) & 1:
+                taken[i] = c
+                need_l -= c
+                need_idx = back
+                break
+            back = add[back][i]
+        else:
+            raise RuntimeError("witness reconstruction lost the trail")
+    if need_l != 0 or need_idx != 0:
+        raise RuntimeError("witness reconstruction did not reach the empty state")
+    return Sequence(seq.group, tuple(taken))
+
+
+def test_witness_matches_the_full_table_backtrack():
+    """witness() stops at the first stage in which the least forbidden length
+    sums to zero; it must return exactly what the full table gives.  The
+    random part must take both exits: a stop before the last support
+    element, and a witness read off the last stage."""
+    stopped_early = read_last = 0
+    for n1, n2 in [*ORACLE_GROUPS_16, (1, 36), (2, 18), (4, 8)]:
+        group = GroupSpec(n1, n2)
+        exp = group.exponent
+        rng = random.Random(61 * n1 + n2)
+        for _ in range(60):
+            seq = random_sequence(rng, group, exp + 8)
+            n_support = sum(1 for c in seq.counts if c)
+            stages = list(_knapsack_stages(seq, len(seq)))
+            for c in Criterion:
+                expected = _full_table_witness(seq, c)
+                assert witness(seq, c) == expected, (seq, c)
+                lengths = c.forbidden_lengths(exp, len(seq))
+                if expected is not None:
+                    first = lengths[0] * group.order
+                    stop = next((k for k, st in enumerate(stages) if (st >> first) & 1), None)
+                    if stop is not None and stop < n_support:
+                        stopped_early += 1
+                    elif stop is None:
+                        read_last += 1
+    assert stopped_early > 100 and read_last > 100, (stopped_early, read_last)
+
+    # Edge cases: the empty sequence, EXACT_EXP below exp terms, the zero
+    # element alone as the witness, and the trivial group.
+    for n1, n2 in [(1, 1), (1, 5), (2, 4), (3, 3), (1, 36)]:
+        group = GroupSpec(n1, n2)
+        exp = group.exponent
+        zero_alone = Sequence(group, (1,) + (0,) * (group.order - 1))
+        empty = Sequence(group, (0,) * group.order)
+        for c in Criterion:
+            assert witness(empty, c) is None and _full_table_witness(empty, c) is None
+        if exp > 1:
+            short = Sequence(group, (exp - 1,) + (0,) * (group.order - 1))
+            assert witness(short, Criterion.EXACT_EXP) is None
+            assert _full_table_witness(short, Criterion.EXACT_EXP) is None
+        rng = random.Random(67 * n1 + n2)
+        for _ in range(20):
+            seq = random_sequence(rng, group, exp + 4).with_term(group.zero)
+            for c in (Criterion.ANY, Criterion.SHORT):
+                assert witness(seq, c) == zero_alone == _full_table_witness(seq, c), (seq, c)
+    trivial = GroupSpec(1, 1)
+    for k in range(1, 4):
+        seq = Sequence(trivial, (k,))
+        for c in Criterion:
+            assert witness(seq, c) == Sequence(trivial, (1,)) == _full_table_witness(seq, c)
+
+
 def test_witness_self_validates():
     rng = random.Random(43)
     checked = 0

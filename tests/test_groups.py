@@ -64,6 +64,13 @@ def test_parse_and_str_roundtrip():
         GroupSpec.parse("2,3,4")
 
 
+def test_parse_rejects_nonpositive_factors_naming_the_text():
+    # The message names the text given, not the pair it would make ((1, 0) for "0").
+    for text in ("0", "-3", "0,4", "2,-4", "0,0"):
+        with pytest.raises(ValueError, match=f"cannot parse group '{text}': factors must be positive"):
+            GroupSpec.parse(text)
+
+
 def test_element_reduction_and_arithmetic():
     g = GroupSpec(2, 4)
     e = g.element(3, 5)
