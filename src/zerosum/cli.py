@@ -2,7 +2,9 @@
 
 Exit codes partition outcomes: 0 verified, 1 mathematical counterexample
 found, 2 user error, 3 node budget exhausted, 4 internal error (any other
-exception, such as a search worker that failed).  Data goes to stdout (or
+exception, such as a search worker that failed).  Every command ends in
+_respond, which renders only the requested format and maps (complete, ok)
+to 3, 1 or 0; main maps the errors to 2 and 4.  Data goes to stdout (or
 --output), errors to stderr.
 """
 
@@ -45,14 +47,24 @@ def _write(path: str, text: str, mode: str = "w") -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit(args, text: str) -> None:
+def _respond(args, json, csv, text, complete: bool, ok: bool) -> int:
+    """Write the requested format and return the exit code of the outcome.
+
+    json, csv and text are thunks, so only the requested format is rendered.
+    A run cut short exits 3 whatever it found; a complete one exits 1 if it
+    is not ok (a counterexample, a mismatch, no match), else 0.
+    """
+    out = {"json": json, "csv": csv, "text": text}[args.format]()
     # An empty output stays empty: a lone newline would be a blank JSON line.
-    if text and not text.endswith("\n"):
-        text += "\n"
+    if out and not out.endswith("\n"):
+        out += "\n"
     if args.output:
-        _write(args.output, text)
+        _write(args.output, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
+    if not complete:
+        return EXIT_BUDGET
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
 def _dump_json(obj) -> str:
@@ -81,24 +93,20 @@ def _cmd_constants(args, opts: SearchOptions) -> int:
         _, reports = check_direct_formulas(group, opts)
     else:
         reports = [longest_lacking(group, Criterion.from_name(args.which), opts)]
-
-    if args.format == "json":
-        payload = [r.to_json() for r in reports]
-        _emit(args, _dump_json(payload[0] if len(payload) == 1 else payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
+    return _respond(
+        args,
+        json=lambda: _dump_json(
+            reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
+        ),
+        csv=lambda: _csv_text(
             ["group", "criterion", "computed", "formula", "complete", "nodes", "ms"],
             [[str(r.group), r.criterion.value, r.computed_constant, r.formula_constant,
               r.complete, r.nodes_visited, round(r.elapsed_ms, 3)] for r in reports],
-        ))
-    else:
-        _emit(args, "\n".join(_constant_line(r) for r in reports))
-
-    if any(not r.complete for r in reports):
-        return EXIT_BUDGET
-    if any(not r.matches_formula for r in reports):
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+        ),
+        text=lambda: "\n".join(_constant_line(r) for r in reports),
+        complete=all(r.complete for r in reports),
+        ok=all(r.matches_formula for r in reports),
+    )
 
 
 def _cmd_extremal(args, opts: SearchOptions) -> int:
@@ -108,110 +116,90 @@ def _cmd_extremal(args, opts: SearchOptions) -> int:
     criterion = Criterion.from_name(args.kind)
     seqs, complete = enumerate_extremal(group, criterion, up_to_aut=args.up_to_aut, options=opts)
     records = []
-    any_unmatched = False
     for seq in seqs:
         rec = {"group": str(group), "kind": criterion.value, "sequence": seq.text(),
                "length": len(seq)}
         if args.classify:
-            matches = classify(seq)
-            rec["matches"] = [m.to_json() for m in matches]
-            any_unmatched = any_unmatched or not matches
+            rec["matches"] = [m.to_json() for m in classify(seq)]
         records.append(rec)
-
-    if args.format == "json":
-        _emit(args, "\n".join(_dump_json(r) for r in records) if records else "")
-    elif args.format == "csv":
-        _emit(args, _csv_text(
+    return _respond(
+        args,
+        json=lambda: "\n".join(_dump_json(r) for r in records),
+        csv=lambda: _csv_text(
             ["group", "kind", "sequence", "length", "match_count"],
             [[r["group"], r["kind"], r["sequence"], r["length"],
               len(r.get("matches", []))] for r in records],
-        ))
-    else:
-        lines = []
-        for r in records:
-            suffix = ""
-            if args.classify:
-                suffix = f"  [{len(r['matches'])} match(es)]"
-            lines.append(f"{r['sequence']}{suffix}")
-        _emit(args, "\n".join(lines))
-
-    if not complete:
-        return EXIT_BUDGET
-    if args.classify and any_unmatched:
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+        ),
+        text=lambda: "\n".join(
+            r["sequence"] + (f"  [{len(r['matches'])} match(es)]" if args.classify else "")
+            for r in records
+        ),
+        complete=complete,
+        ok=not args.classify or all(r["matches"] for r in records),
+    )
 
 
 def _cmd_check(args, opts: SearchOptions) -> int:
     target = args.target
-    param = "n" if target == "invcyc" else "m"
+    param, stray = ("n", "m") if target == "invcyc" else ("m", "n")
     if getattr(args, param) is None:
         raise ValueError(f"{target} needs --{param}")
+    if getattr(args, stray) is not None:
+        raise ValueError(f"{target} takes no --{stray}")
     if target in ("property-C", "property-D"):
         result = check_property(args.m, target[-1], opts)
     else:
         result = verify_lemma(LemmaName(target), m=args.m, n=args.n, options=opts)
-
-    if args.format == "json":
-        _emit(args, _dump_json(result.to_json()))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
+    return _respond(
+        args,
+        json=lambda: _dump_json(result.to_json()),
+        csv=lambda: _csv_text(
             ["check", "params", "status", "counterexamples"],
             [[result.name, _dump_json(result.params), result.status,
               len(result.counterexamples)]],
-        ))
-    else:
-        _emit(args, f"{result.name} {result.params}: {result.status}"
-              + (f" ({len(result.counterexamples)} counterexample(s))"
-                 if result.counterexamples else ""))
-
-    return {"verified": EXIT_OK, "falsified": EXIT_COUNTEREXAMPLE, "unverified": EXIT_BUDGET}[
-        result.status
-    ]
+        ),
+        text=lambda: f"{result.name} {result.params}: {result.status}"
+        + (f" ({len(result.counterexamples)} counterexample(s))" if result.counterexamples else ""),
+        complete=result.complete,
+        ok=result.ok,
+    )
 
 
 def _cmd_reproduce(args, opts: SearchOptions) -> int:
     seq, report = reproduce_exp_minus_1(args.m, args.n)
-    report = dict(report)
-    report["sequence"] = seq.text()
-    if args.format == "json":
-        _emit(args, _dump_json(report))
-    elif args.format == "csv":
-        keys = sorted(report)
-        _emit(args, _csv_text(keys, [[report[k] for k in keys]]))
-    else:
-        facts = (
+    report = {**report, "sequence": seq.text()}
+    keys = sorted(report)
+    return _respond(
+        args,
+        json=lambda: _dump_json(report),
+        csv=lambda: _csv_text(keys, [[report[k] for k in keys]]),
+        text=lambda: (
+            f"{report['sequence']}\n"
             f"length {report['length']} (expected {report['expected_length']}), "
             f"lacks length-exp zero-sum: {report['lacks_exact_exp']}, "
             f"max multiplicity {report['max_multiplicity']} < {report['exp_minus_1']}"
-        )
-        _emit(args, f"{report['sequence']}\n{facts}")
-    return EXIT_OK if report["ok"] else EXIT_COUNTEREXAMPLE
+        ),
+        complete=True,
+        ok=report["ok"],
+    )
 
 
 def _cmd_classify(args, opts: SearchOptions) -> int:
     group = GroupSpec.parse(args.group)
     seq = parse_sequence(group, args.seq)
-    matches = classify(seq)
-    if args.format == "json":
-        _emit(args, _dump_json({
-            "group": str(group),
-            "sequence": seq.text(),
-            "matches": [m.to_json() for m in matches],
-        }))
-    elif args.format == "csv":
-        rows = []
-        for m in matches:
-            d = m.to_json()
-            rows.append([d["form"], d["e1"], d["e2"], d.get("x", ""), d.get("s", ""),
-                         d.get("t", ""), d.get("g", "")])
-        _emit(args, _csv_text(["form", "e1", "e2", "x", "s", "t", "g"], rows))
-    else:
-        if matches:
-            _emit(args, "\n".join(_dump_json(m.to_json()) for m in matches))
-        else:
-            _emit(args, "no match")
-    return EXIT_OK if matches else EXIT_COUNTEREXAMPLE
+    matches = [m.to_json() for m in classify(seq)]
+    return _respond(
+        args,
+        json=lambda: _dump_json({"group": str(group), "sequence": seq.text(), "matches": matches}),
+        csv=lambda: _csv_text(
+            ["form", "e1", "e2", "x", "s", "t", "g"],
+            [[d["form"], d["e1"], d["e2"], d.get("x", ""), d.get("s", ""), d.get("t", ""),
+              d.get("g", "")] for d in matches],
+        ),
+        text=lambda: "\n".join(_dump_json(d) for d in matches) if matches else "no match",
+        complete=True,
+        ok=bool(matches),
+    )
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from typing import Optional
+from typing import Iterator, Optional
 
 from ._bits import add_table, neg_table
 from .criteria import Criterion, formula_value, has_zero_sum_of_length, lacks
@@ -348,14 +348,29 @@ def enumerate_extremal(
 
 @dataclass
 class CheckResult:
-    """Outcome of a property or lemma verification run."""
+    """Outcome of a property or lemma verification run.
+
+    The verdict is derived, never set: a run cut short (complete=False) is
+    "unverified", a complete run with counterexamples "falsified", any other
+    "verified".  A cut run proves nothing, so it carries no counterexamples.
+    """
 
     name: str
     params: dict
-    status: str  # "verified" | "falsified" | "unverified"
     counterexamples: list[Sequence]
     details: dict
     nodes: int = 0
+    complete: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.complete and self.counterexamples:
+            raise RuntimeError(f"{self.name}: a run cut short cannot have counterexamples")
+
+    @property
+    def status(self) -> str:
+        if not self.complete:
+            return "unverified"
+        return "falsified" if self.counterexamples else "verified"
 
     @property
     def ok(self) -> bool:
@@ -392,31 +407,31 @@ def check_property(m: int, which: str, options: Optional[SearchOptions] = None) 
     criterion = Criterion.SHORT if which == "C" else Criterion.EXACT_EXP
     out, target = _extremal_search(group, criterion, options)
     rep = m - 1
-    if out.complete:
-        bad = []
-        if any(c % rep for r in out.representatives for c in r):
-            bad = [Sequence(group, s) for s in out.sequences if any(c % rep for c in s)]
-        status = "falsified" if bad else "verified"
-        count: Optional[int] = out.orbit_count
-    else:
-        # A partial enumeration proves nothing: no counterexamples, no count.
-        bad, status, count = [], "unverified", None
+    bad = []
+    if out.complete and any(c % rep for r in out.representatives for c in r):
+        bad = [Sequence(group, s) for s in out.sequences if any(c % rep for c in s)]
     return CheckResult(
         name=f"property-{which}",
         params={"m": m},
-        status=status,
         counterexamples=bad,
-        details={"extremal_count": count, "length": target},
+        # A partial enumeration proves nothing: no counterexamples, no count.
+        details={"extremal_count": out.orbit_count if out.complete else None, "length": target},
         nodes=out.nodes,
+        complete=out.complete,
     )
 
 
-def _power_of(group: GroupSpec, combo: tuple[int, ...], k: int) -> Sequence:
-    """T^k for the multiset T of element indices combo."""
-    counts = [0] * group.order
-    for i in combo:
-        counts[i] += k
-    return Sequence(group, tuple(counts))
+def _lacking_powers(m: int, size: int, criterion: Criterion) -> Iterator[tuple[Sequence, set]]:
+    """Each T^(m-1) over C_m + C_m with |T| = size (T a multiset of element
+    indices) that lacks criterion, with the support of T."""
+    group = GroupSpec(m, m)
+    for combo in combinations_with_replacement(range(group.order), size):
+        counts = [0] * group.order
+        for i in combo:
+            counts[i] += m - 1
+        power = Sequence(group, tuple(counts))
+        if lacks(power, criterion):
+            yield power, set(combo)
 
 
 def _drop_one(power: Sequence, i: int, k: int) -> Sequence:
@@ -434,61 +449,42 @@ def _check_noshort(m: int) -> CheckResult:
     Runs on element indices, on classify()'s tables (_index_tables): on
     C_m + C_m every basis element has order m, so (f1, f2) is a basis iff
     its index pair is in bases, and x*f1 is read from scaled."""
-    if m < 2:
-        raise ValueError("noshort needs m >= 2")
-    group = GroupSpec(m, m)
-    _, add, neg, scaled, bases, _ = _index_tables(group)
+    _, add, neg, scaled, bases, _ = _index_tables(GroupSpec(m, m))
     scaled = [(x, times) for x, times in scaled if 2 * x <= m]
+    powers = list(_lacking_powers(m, 3, Criterion.SHORT))
     x_values: set[int] = set()
-    passing = 0
     bad: list[Sequence] = []
-    for combo in combinations_with_replacement(range(group.order), 3):
-        power = _power_of(group, combo, m - 1)
-        if not lacks(power, Criterion.SHORT):
-            continue
-        passing += 1
-        supp = set(combo)
+    for power, supp in powers:
         found = set()
         for i1, i2 in permutations(supp, 2):
             if (i1, i2) in bases:
                 i3 = next(i for i in supp if i not in (i1, i2))
                 found.update(x for x, times in scaled if add[i2][neg[times[i1]]] == i3)
-        if not found:
-            bad.append(power)
-            continue
         x_values |= found
-        if not all(lacks(_drop_one(power, i, m - 1), Criterion.ANY) for i in supp):
+        if not found or not all(lacks(_drop_one(power, i, m - 1), Criterion.ANY) for i in supp):
             bad.append(power)
     return CheckResult(
         name="noshort",
         params={"m": m},
-        status="falsified" if bad else "verified",
         counterexamples=bad,
-        details={"powers_checked": passing, "x_values": sorted(x_values)},
+        details={"powers_checked": len(powers), "x_values": sorted(x_values)},
     )
 
 
 def _check_two_m(m: int) -> CheckResult:
     """For every T^(m-1) of length 4m-4 over C_m + C_m without a length-m
     zero-sum, dropping any one term of T leaves no zero-sum of length 2m."""
-    if m < 2:
-        raise ValueError("two-m needs m >= 2")
-    group = GroupSpec(m, m)
-    passing = 0
-    bad: list[Sequence] = []
-    for combo in combinations_with_replacement(range(group.order), 4):
-        power = _power_of(group, combo, m - 1)
-        if not lacks(power, Criterion.EXACT_EXP):
-            continue
-        passing += 1
-        if any(has_zero_sum_of_length(_drop_one(power, i, m - 1), 2 * m) for i in set(combo)):
-            bad.append(power)
+    powers = list(_lacking_powers(m, 4, Criterion.EXACT_EXP))
+    bad = [
+        power
+        for power, supp in powers
+        if any(has_zero_sum_of_length(_drop_one(power, i, m - 1), 2 * m) for i in supp)
+    ]
     return CheckResult(
         name="two-m",
         params={"m": m},
-        status="falsified" if bad else "verified",
         counterexamples=bad,
-        details={"powers_checked": passing},
+        details={"powers_checked": len(powers)},
     )
 
 
@@ -497,45 +493,32 @@ def _check_invcyc(n: int, options: Optional[SearchOptions] = None) -> CheckResul
     <e> = C_n, and length-n-free extremals are g^(n-1) (g+e)^(n-1): each
     zero-sum free extremal padded by 0^(n-1) and translated by every g, the
     cyclic case of the s-families' padded and translated shapes."""
-    if n < 1:
-        raise ValueError("invcyc needs n >= 1")
     group = GroupSpec.cyclic(n)
-    nodes = 0
-    complete = True
-
-    out_any = longest_lacking_search(group, Criterion.ANY, options)
-    nodes += out_any.nodes
-    complete = complete and out_any.complete
-    got_any = {Sequence(group, c) for c in out_any.sequences}
     generators = [e for e in group.elements() if order_of(e) == n]
     pred_any = {Sequence.from_items(group, [(e, n - 1)]) for e in generators}
-
-    out_s = longest_lacking_search(group, Criterion.EXACT_EXP, options)
-    nodes += out_s.nodes
-    complete = complete and out_s.complete
-    got_s = {Sequence(group, c) for c in out_s.sequences}
     pred_s = {shift(g, z.with_term(group.zero, n - 1)) for z in pred_any for g in group.elements()}
-
+    outs = [longest_lacking_search(group, c, options) for c in (Criterion.ANY, Criterion.EXACT_EXP)]
+    complete = all(out.complete for out in outs)
+    # A partial enumeration proves nothing: no counterexamples, no counts.
+    bad: set[Sequence] = set()
+    counts: list[Optional[int]] = [None, None]
     if complete:
-        bad = sorted((got_any ^ pred_any) | (got_s ^ pred_s))
-        status = "falsified" if bad else "verified"
-        any_count: Optional[int] = len(got_any)
-        s_count: Optional[int] = len(got_s)
-    else:
-        # A partial enumeration proves nothing: no counterexamples, no counts.
-        bad, status, any_count, s_count = [], "unverified", None, None
+        for i, (out, predicted) in enumerate(zip(outs, (pred_any, pred_s))):
+            got = {Sequence(group, c) for c in out.sequences}
+            bad |= got ^ predicted
+            counts[i] = len(got)
     return CheckResult(
         name="invcyc",
         params={"n": n},
-        status=status,
-        counterexamples=bad,
+        counterexamples=sorted(bad),
         details={
-            "zero_sum_free_count": any_count,
+            "zero_sum_free_count": counts[0],
             "expected_zero_sum_free": len(pred_any),
-            "length_n_free_count": s_count,
+            "length_n_free_count": counts[1],
             "expected_length_n_free": len(pred_s),
         },
-        nodes=nodes,
+        nodes=sum(out.nodes for out in outs),
+        complete=complete,
     )
 
 
@@ -545,19 +528,21 @@ def verify_lemma(
     n: Optional[int] = None,
     options: Optional[SearchOptions] = None,
 ) -> CheckResult:
-    if name is LemmaName.NOSHORT:
-        if m is None:
-            raise ValueError("noshort needs m")
-        return _check_noshort(m)
-    if name is LemmaName.TWO_M:
-        if m is None:
-            raise ValueError("two-m needs m")
-        return _check_two_m(m)
+    """Check one lemma: noshort and two-m over C_m + C_m (m >= 2), invcyc over
+    C_n (n >= 1).  A missing or out-of-range parameter is a ValueError."""
     if name is LemmaName.INVCYC:
         if n is None:
             raise ValueError("invcyc needs n")
+        if n < 1:
+            raise ValueError("invcyc needs n >= 1")
         return _check_invcyc(n, options)
-    raise ValueError(f"unknown lemma {name!r}")
+    if name not in (LemmaName.NOSHORT, LemmaName.TWO_M):
+        raise ValueError(f"unknown lemma {name!r}")
+    if m is None:
+        raise ValueError(f"{name.value} needs m")
+    if m < 2:
+        raise ValueError(f"{name.value} needs m >= 2")
+    return _check_noshort(m) if name is LemmaName.NOSHORT else _check_two_m(m)
 
 
 def reproduce_exp_minus_1(m: int, n: int) -> tuple[Sequence, dict]:

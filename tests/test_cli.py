@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zerosum import GroupSpec, cli, parse_sequence
 from zerosum.cli import main
 
@@ -168,6 +170,16 @@ def test_check_missing_param(capsys):
         assert capsys.readouterr().err == f"error: {target} needs --{param}\n"
 
 
+def test_check_stray_param(capsys):
+    # Each target takes one of --m and --n; the other is refused, not ignored.
+    for target, param, stray in (("property-C", "m", "n"), ("property-D", "m", "n"),
+                                 ("noshort", "m", "n"), ("two-m", "m", "n"),
+                                 ("invcyc", "n", "m")):
+        assert main(["check", target, f"--{param}", "3", f"--{stray}", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {target} takes no --{stray}\n"
+
+
 def test_noshort_above_the_automorphism_cap_is_a_user_error(capsys):
     # C23+C23 has order 529 > 512: the basis table is refused before any work.
     assert main(["check", "noshort", "--m", "23"]) == 2
@@ -229,6 +241,69 @@ def test_text_and_csv_formats(capsys):
     assert out.splitlines()[0].startswith("group,criterion,computed")
     code, out = run(capsys, "check", "invcyc", "--n", "3", "--format", "text")
     assert code == 0 and "verified" in out
+
+
+# The exact csv and text output and the exit code of each command: csv rows
+# end in \r\n, and an extremal listing without --classify counts 0 matches.
+PINNED = {
+    "extremal --classify": (
+        ["extremal", "--group", "2,4", "--kind", "eta", "--classify"], 0,
+        'group,kind,sequence,length,match_count\r\n'
+        '"2,4",eta,"(0,3) (1,1)^3 (1,2)",5,4\r\n"2,4",eta,"(0,3) (1,0) (1,3)^3",5,4\r\n'
+        '"2,4",eta,"(0,3)^3 (1,1) (1,2)",5,4\r\n"2,4",eta,"(0,3)^3 (1,0) (1,3)",5,4\r\n'
+        '"2,4",eta,"(0,1) (1,2) (1,3)^3",5,4\r\n"2,4",eta,"(0,1) (1,0) (1,1)^3",5,4\r\n'
+        '"2,4",eta,"(0,1)^3 (1,2) (1,3)",5,4\r\n"2,4",eta,"(0,1)^3 (1,0) (1,1)",5,4\r\n',
+        '(0,3) (1,1)^3 (1,2)  [4 match(es)]\n(0,3) (1,0) (1,3)^3  [4 match(es)]\n'
+        '(0,3)^3 (1,1) (1,2)  [4 match(es)]\n(0,3)^3 (1,0) (1,3)  [4 match(es)]\n'
+        '(0,1) (1,2) (1,3)^3  [4 match(es)]\n(0,1) (1,0) (1,1)^3  [4 match(es)]\n'
+        '(0,1)^3 (1,2) (1,3)  [4 match(es)]\n(0,1)^3 (1,0) (1,1)  [4 match(es)]\n',
+    ),
+    "extremal --up-to-aut": (
+        ["extremal", "--group", "2,4", "--kind", "s", "--up-to-aut"], 0,
+        'group,kind,sequence,length,match_count\r\n'
+        '"2,4",s,"(0,2) (0,3) (1,2)^3 (1,3)^3",8,0\r\n"2,4",s,"(0,2)^3 (0,3) (1,2) (1,3)^3",8,0\r\n'
+        '"2,4",s,"(0,0) (0,3) (1,1)^3 (1,2)^3",8,0\r\n"2,4",s,"(0,0)^3 (0,3) (1,1)^3 (1,2)",8,0\r\n',
+        '(0,2) (0,3) (1,2)^3 (1,3)^3\n(0,2)^3 (0,3) (1,2) (1,3)^3\n'
+        '(0,0) (0,3) (1,1)^3 (1,2)^3\n(0,0)^3 (0,3) (1,1)^3 (1,2)\n',
+    ),
+    "classify match": (
+        ["classify", "--group", "2,4", "--seq", "(1,0) (0,1) (1,1)^3"], 0,
+        'form,e1,e2,x,s,t,g\r\neta_a,"[1, 0]","[0, 1]",1,1,,\r\neta_a,"[1, 0]","[1, 1]",1,2,,\r\n'
+        'eta_b,"[0, 1]","[1, 1]",,,,\r\neta_b,"[1, 0]","[1, 1]",,,,\r\n',
+        '{"e1": [1, 0], "e2": [0, 1], "form": "eta_a", "s": 1, "x": 1}\n'
+        '{"e1": [1, 0], "e2": [1, 1], "form": "eta_a", "s": 2, "x": 1}\n'
+        '{"e1": [0, 1], "e2": [1, 1], "form": "eta_b"}\n'
+        '{"e1": [1, 0], "e2": [1, 1], "form": "eta_b"}\n',
+    ),
+    "classify no match": (
+        ["classify", "--group", "2,4", "--seq", "(1,0)^2 (0,1)^3"], 1,
+        'form,e1,e2,x,s,t,g\r\n',
+        'no match\n',
+    ),
+    "reproduce exp-1": (
+        ["reproduce", "exp-1", "--m", "2", "--n", "3"], 0,
+        'exp_minus_1,expected_length,group,lacks_exact_exp,length,max_multiplicity,ok,sequence\r\n'
+        '5,12,"2,6",True,12,3,True,"(0,0)^3 (0,1)^3 (1,0)^3 (1,1)^3"\r\n',
+        '(0,0)^3 (0,1)^3 (1,0)^3 (1,1)^3\n'
+        'length 12 (expected 12), lacks length-exp zero-sum: True, max multiplicity 3 < 5\n',
+    ),
+    "check verified": (
+        ["check", "property-C", "--m", "3"], 0,
+        'check,params,status,counterexamples\r\nproperty-C,"{""m"": 3}",verified,0\r\n',
+        "property-C {'m': 3}: verified\n",
+    ),
+    "check cut": (
+        ["check", "property-D", "--m", "5", "--budget", "400"], 3,
+        'check,params,status,counterexamples\r\nproperty-D,"{""m"": 5}",unverified,0\r\n',
+        "property-D {'m': 5}: unverified\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,code,csv_out,text_out", PINNED.values(), ids=PINNED.keys())
+def test_pinned_csv_and_text(capsys, argv, code, csv_out, text_out):
+    assert run(capsys, *argv, "--format", "csv") == (code, csv_out)
+    assert run(capsys, *argv, "--format", "text") == (code, text_out)
 
 
 def test_output_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import zerosum.inverse as inverse
 from zerosum import (
+    CheckResult,
     Criterion,
     ExtremalForm,
     FormTag,
@@ -288,10 +289,56 @@ def test_check_property_examples():
     assert check_property(3, "C").ok
     assert check_property(2, "D").ok
     assert check_property(3, "D").ok
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^property checks need m >= 2$"):
         check_property(1, "C")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^property must be 'C' or 'D', got 'E'$"):
         check_property(3, "E")
+
+
+@pytest.mark.parametrize("complete,bad,status", [
+    (True, [], "verified"),
+    (True, ["(1,0)"], "falsified"),
+    (False, [], "unverified"),
+])
+def test_check_result_derives_its_status(complete, bad, status):
+    g = GroupSpec(2, 2)
+    res = CheckResult("t", {}, [parse_sequence(g, t) for t in bad], {}, complete=complete)
+    assert res.status == res.to_json()["status"] == status
+    assert res.ok == (status == "verified")
+    assert sorted(res.to_json()) == [
+        "check", "counterexamples", "details", "nodes", "params", "status"]
+    with pytest.raises(AttributeError):
+        res.status = "verified"
+
+
+def test_cut_check_result_refuses_counterexamples():
+    # A run cut short proves nothing, so it cannot carry a counterexample.
+    with pytest.raises(RuntimeError):
+        CheckResult("t", {}, [parse_sequence(GroupSpec(2, 2), "(1,0)")], {}, complete=False)
+
+
+def _without_nodes(res) -> dict:
+    out = res.to_json()
+    del out["nodes"]
+    return out
+
+
+@pytest.mark.parametrize("which,m,budget,count,length", [
+    ("C", 2, None, 1, 3), ("C", 3, None, 24, 6), ("C", 4, None, 48, 9), ("C", 5, None, 720, 12),
+    ("C", 2, 50, 1, 3), ("C", 3, 50, 24, 6), ("C", 4, 50, None, 9), ("C", 5, 50, None, 12),
+    ("D", 2, None, 1, 4), ("D", 3, None, 54, 8), ("D", 4, None, 192, 12), ("D", 5, None, 4500, 16),
+    ("D", 2, 50, 1, 4), ("D", 3, 50, 54, 8), ("D", 4, 50, None, 12), ("D", 5, 50, None, 16),
+])
+def test_property_json_pinned(which, m, budget, count, length):
+    # Nodes are pinned elsewhere; a budget of 50 cuts m = 4 and 5 short.
+    options = SearchOptions(node_budget=budget) if budget else None
+    assert _without_nodes(check_property(m, which, options)) == {
+        "check": f"property-{which}",
+        "params": {"m": m},
+        "status": "unverified" if count is None else "verified",
+        "counterexamples": [],
+        "details": {"extremal_count": count, "length": length},
+    }
 
 
 def test_check_property_c_at_m7_by_default():
@@ -385,16 +432,49 @@ def test_verify_lemma_two_m():
     (2, 1, [1]), (3, 24, [1]), (4, 48, [1]), (5, 720, [1, 2]), (6, 144, [1]),
 ])
 def test_noshort_results_pinned(m, powers, x_values):
-    res = verify_lemma(LemmaName.NOSHORT, m=m)
-    assert res.status == "verified" and res.counterexamples == []
-    assert res.details == {"powers_checked": powers, "x_values": x_values}
+    assert _without_nodes(verify_lemma(LemmaName.NOSHORT, m=m)) == {
+        "check": "noshort",
+        "params": {"m": m},
+        "status": "verified",
+        "counterexamples": [],
+        "details": {"powers_checked": powers, "x_values": x_values},
+    }
 
 
 @pytest.mark.parametrize("m,powers", [(2, 1), (3, 54), (4, 192), (5, 4500)])
 def test_two_m_results_pinned(m, powers):
-    res = verify_lemma(LemmaName.TWO_M, m=m)
-    assert res.status == "verified" and res.counterexamples == []
-    assert res.details == {"powers_checked": powers}
+    assert _without_nodes(verify_lemma(LemmaName.TWO_M, m=m)) == {
+        "check": "two-m",
+        "params": {"m": m},
+        "status": "verified",
+        "counterexamples": [],
+        "details": {"powers_checked": powers},
+    }
+
+
+# n: (phi(n) generators e^(n-1), length-n-free extremals g^(n-1) (g+e)^(n-1))
+INVCYC_EXPECTED = {1: (1, 1), 2: (1, 1), 3: (2, 3), 4: (2, 4), 5: (4, 10),
+                   6: (2, 6), 7: (6, 21), 8: (4, 16), 9: (6, 27), 10: (4, 20)}
+
+
+@pytest.mark.parametrize("n,budget", [(n, None) for n in range(1, 11)] + [(4, 7), (6, 7), (9, 7)])
+def test_invcyc_json_pinned(n, budget):
+    # A budget of 7 cuts one of the two searches short: no counts then.
+    options = SearchOptions(node_budget=budget) if budget else None
+    free, n_free = INVCYC_EXPECTED[n]
+    done = budget is None
+    assert _without_nodes(verify_lemma(LemmaName.INVCYC, n=n, options=options)) == {
+        "check": "invcyc",
+        "params": {"n": n},
+        "status": "verified" if done else "unverified",
+        "counterexamples": [],
+        "details": {
+            "zero_sum_free_count": free if done else None,
+            "expected_zero_sum_free": free,
+            "length_n_free_count": n_free if done else None,
+            "expected_length_n_free": n_free,
+        },
+    }
 
 
 def test_verify_lemma_invcyc():
@@ -405,10 +485,18 @@ def test_verify_lemma_invcyc():
 
 
 def test_verify_lemma_param_validation():
-    with pytest.raises(ValueError):
-        verify_lemma(LemmaName.NOSHORT)
-    with pytest.raises(ValueError):
-        verify_lemma(LemmaName.INVCYC, m=3)
+    for name, kwargs, message in (
+        (LemmaName.NOSHORT, {}, "noshort needs m"),
+        (LemmaName.TWO_M, {"n": 3}, "two-m needs m"),
+        (LemmaName.INVCYC, {"m": 3}, "invcyc needs n"),
+        (LemmaName.NOSHORT, {"m": 1}, "noshort needs m >= 2"),
+        (LemmaName.TWO_M, {"m": 0}, "two-m needs m >= 2"),
+        (LemmaName.INVCYC, {"n": 0}, "invcyc needs n >= 1"),
+        ("noshort", {"m": 3}, "unknown lemma 'noshort'"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            verify_lemma(name, **kwargs)
+        assert str(exc.value) == message
 
 
 def test_reproduce_exp_minus_1():
