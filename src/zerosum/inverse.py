@@ -529,12 +529,14 @@ def verify_lemma(
     options: Optional[SearchOptions] = None,
 ) -> CheckResult:
     """Check one lemma: noshort and two-m over C_m + C_m (m >= 2), invcyc over
-    C_n (n >= 1).  A missing or out-of-range parameter is a ValueError."""
+    C_n (n >= 1).  A missing, out-of-range or stray parameter is a ValueError."""
     if name is LemmaName.INVCYC:
         if n is None:
             raise ValueError("invcyc needs n")
         if n < 1:
             raise ValueError("invcyc needs n >= 1")
+        if m is not None:
+            raise ValueError("invcyc takes no m")
         return _check_invcyc(n, options)
     if name not in (LemmaName.NOSHORT, LemmaName.TWO_M):
         raise ValueError(f"unknown lemma {name!r}")
@@ -542,6 +544,8 @@ def verify_lemma(
         raise ValueError(f"{name.value} needs m")
     if m < 2:
         raise ValueError(f"{name.value} needs m >= 2")
+    if n is not None:
+        raise ValueError(f"{name.value} takes no n")
     return _check_noshort(m) if name is LemmaName.NOSHORT else _check_two_m(m)
 
 

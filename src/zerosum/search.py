@@ -38,10 +38,10 @@ the elements that no child may append.  A node's children are the set bits
 of its candidate mask (the elements from its last one on; 0 alone at a
 translation-normalized root) less the blocked set, lowest first: the order
 of a loop over the elements, but a node with none runs no loop.
-One DFS (_dfs) serves every walk: a search is one walk from the root, and
-exists_lacking_subsequence() walks the sub-multisets of one sequence and
-stops at the first node of a target length.  The node budget caps the nodes
-one search visits, so a search cut short reports exactly that many.
+One DFS (_dfs) serves every walk; each enters it through _walk and ends
+early on one exception, _Stop: a search, one walk from the root, once it has
+spent its node budget (so it reports exactly that many nodes), and the walk
+of exists_lacking_subsequence() over sub-multisets at its target length.
 
 The one walk of check_direct_formulas (_ONE_WALK) walks s and tallies the
 other three constants on its nodes.  Its stepper keeps s's exact rows up to
@@ -167,8 +167,17 @@ class SearchOutcome:
 
     @property
     def least(self) -> tuple[int, ...]:
-        """sequences[0], with no orbit and no sort."""
-        return self._least_of(self.representatives)
+        """sequences[0], with no orbit and no sort: least_image over the
+        representatives' translates, the best so far the bound.  Automorphisms
+        fix index 0, so only translates with the least count there can win."""
+        z = min(map(min, self.representatives))
+        tables = [t for r in self.representatives for t in self._translates(r, z)]
+        if not self.aut:  # unpruned: H holds no automorphism
+            return min(tables)
+        best = None
+        for t in tables:
+            best = least_image(t, self.group, best) or best
+        return best
 
     @cached_property
     def orbit_count(self) -> int:
@@ -199,20 +208,6 @@ class SearchOutcome:
         if not self.shifts:
             return [tuple(table)]
         return [h(table) for h, c in zip((tuple, *self.shifts), table) if z is None or c == z]
-
-    def _least_of(self, tables) -> tuple[int, ...]:
-        """The least table of the H-orbits of tables, as least_image over
-        their translates with the best so far as the bound.  Automorphisms
-        fix index 0, so only the translates with the least count there can
-        win."""
-        z = min(map(min, tables))
-        tables = [t for table in tables for t in self._translates(table, z)]
-        if not self.aut:  # unpruned: H holds no automorphism
-            return min(tables)
-        best = None
-        for t in tables:
-            best = least_image(t, self.group, best) or best
-        return best
 
 
 @lru_cache(maxsize=None)
@@ -320,12 +315,8 @@ def _packed_value(counts, guards: int, deltas) -> int:
     return guards + sum(c * d for c, d in zip(counts, deltas) if c)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _TargetReached(Exception):
-    pass
+class _Stop(Exception):
+    """The walk ended early: its budget is spent or it reached its target length."""
 
 
 class _Tally:
@@ -358,7 +349,7 @@ class _Tally:
 class _Ctx(_Tally):
     """One walk's constants and the tallies of its criterion, criteria[0].
     A node of length limit is not visited but appended to frontier or, with
-    no frontier, ends the walk (_TargetReached); limit None walks the whole
+    no frontier, ends the walk (_Stop); limit None walks the whole
     subtree.  With prune the walk keeps only orbit-minimal nodes, by the
     packed test (guards, deltas) where _packed_bits is at most
     _PACKED_MAX_BITS and by the trie above.
@@ -399,10 +390,6 @@ class _Ctx(_Tally):
             _, self.push, self.top = _shared_stepper(group, criteria[0])
             self.more = None
 
-    def orbit_value(self, counts):
-        """The packed value of counts for _dfs, None off the packed test."""
-        return None if self.deltas is None else _packed_value(counts, self.guards, self.deltas)
-
 
 @lru_cache(maxsize=None)
 def _from_masks(size: int) -> tuple[int, ...]:
@@ -412,16 +399,16 @@ def _from_masks(size: int) -> tuple[int, ...]:
 
 
 def _dfs(ctx: _Ctx, counts: list[int], state: int, mask: int, length: int, orbit) -> None:
-    """Visit the node counts and walk below it: state is its stepper's
-    integer, mask its candidate children (from_mask[e] after appending e),
-    orbit ctx.orbit_value(counts), kept up to date by one add per child."""
+    """Visit the node counts and walk below it, or raise _Stop: state is its
+    stepper's integer, mask its candidate children (from_mask[e] after
+    appending e), orbit its packed value (None off the packed test)."""
     if length == ctx.limit:
         if ctx.frontier is None:
-            raise _TargetReached
+            raise _Stop
         ctx.frontier.append((tuple(counts), state, mask))
         return
     if ctx.nodes == ctx.budget:
-        raise _BudgetExhausted
+        raise _Stop
     ctx.nodes += 1
     if length >= ctx.best:
         ctx.record(counts, length)
@@ -474,14 +461,15 @@ def _dfs(ctx: _Ctx, counts: list[int], state: int, mask: int, length: int, orbit
 
 def _walk(ctx: _Ctx, top):
     """Walk the subtree below top, the root or a frontier node (counts,
-    state, mask) as _dfs takes them: one (best, best_list, nodes, complete)
-    per criterion of ctx, in its order."""
-    counts0, state, mask = top
+    state, mask) as _dfs takes them: (complete, tallies), complete False iff
+    _Stop ended it, one (best, best_list, nodes) per criterion of ctx."""
+    counts, state, mask = top
+    orbit = None if ctx.deltas is None else _packed_value(counts, ctx.guards, ctx.deltas)
     try:
-        _dfs(ctx, list(counts0), state, mask, sum(counts0), ctx.orbit_value(counts0))
-    except _BudgetExhausted:
+        _dfs(ctx, list(counts), state, mask, sum(counts), orbit)
+    except _Stop:
         ctx.complete = False
-    return [(t.best, t.best_list, t.nodes, ctx.complete) for t in (ctx, *(ctx.more or ()))]
+    return ctx.complete, [(t.best, t.best_list, t.nodes) for t in (ctx, *(ctx.more or ()))]
 
 
 def _run_subtree(group, criteria, top, prune, budget):
@@ -489,20 +477,19 @@ def _run_subtree(group, criteria, top, prune, budget):
 
 
 def _merge(parts):
-    """Join the _walk results of walks over disjoint subtrees, criterion by criterion."""
+    """Join the _walk results of disjoint subtrees: complete iff all are, tallies per criterion."""
     merged = []
-    for walks in zip(*parts):
-        best, best_list, nodes, complete = -1, [], 0, True
-        for b, bl, nn, comp in walks:
+    for walks in zip(*(tallies for _, tallies in parts)):
+        best, best_list, nodes = -1, [], 0
+        for b, bl, nn in walks:
             nodes += nn
-            complete = complete and comp
             if b > best:
                 best = b
                 best_list = list(bl)
             elif b == best:
                 best_list.extend(bl)
-        merged.append((best, best_list, nodes, complete))
-    return merged
+        merged.append((best, best_list, nodes))
+    return all(complete for complete, _ in parts), merged
 
 
 def _forked_search(root, workers, group, criteria, prune, budget):
@@ -516,10 +503,9 @@ def _forked_search(root, workers, group, criteria, prune, budget):
     if ctx.complete:
         # A subtree past what the head leaves of the budget sends the search back anyway.
         tasks = [(group, criteria, sub, prune, budget - ctx.nodes) for sub in ctx.frontier]
-        merged = _merge([head, *_run_forked(tasks, workers)])
-        _, _, nodes, complete = merged[0]
-        if complete and nodes <= budget:
-            return merged
+        complete, merged = _merge([head, *_run_forked(tasks, workers)])
+        if complete and merged[0][2] <= budget:  # the nodes of the whole split walk
+            return complete, merged
     return _run_subtree(group, criteria, root, prune, budget)
 
 
@@ -627,20 +613,21 @@ def _search(group: GroupSpec, criteria, options: Optional[SearchOptions]) -> lis
     mask = 1 if shiftn else (1 << group.order) - 1
     root = ((0,) * group.order, _shared_stepper(group, criterion)[0], mask)
     if opts.workers > 1 and _can_fork():
-        found = _forked_search(root, opts.workers, group, criteria, prune, opts.node_budget)
+        complete, found = _forked_search(
+            root, opts.workers, group, criteria, prune, opts.node_budget)
     else:  # one worker, or a platform that cannot fork
-        found = _run_subtree(group, criteria, root, prune, opts.node_budget)
-    if not found[0][3]:
+        complete, found = _run_subtree(group, criteria, root, prune, opts.node_budget)
+    if not complete:
         found = found[:1]
 
     aut = aut_getters(group) if prune else ()
     shifts = shift_getters(group) if shiftn else ()
     outcomes = [
         SearchOutcome(group, best, sorted(set(best_list)), nodes, complete, aut, shifts)
-        for best, best_list, nodes, complete in found[:2]
+        for best, best_list, nodes in found[:2]
     ]
     pad = group.exponent - 1
-    for best, best_list, nodes, complete in found[2:]:
+    for best, best_list, nodes in found[2:]:
         # eta and D: the slice's tables less 0^(exp-1), walked with no translations.
         tables = sorted({(c[0] - pad, *c[1:]) for c in best_list})
         outcomes.append(SearchOutcome(group, best, tables, nodes, complete, aut))
@@ -653,16 +640,13 @@ def exists_lacking_subsequence(seq: Sequence, criterion: Criterion, target_lengt
     (Lacking is hereditary, so a sequence of length >= target exists iff one
     of exactly target does.)  Runs the search DFS over the sub-multisets of
     seq, capped by its multiplicities, and stops at the first node of the
-    target length.
+    target length: with no budget, only that node stops the walk.
     """
     if target_length <= 0:
         return True
     if target_length > len(seq):
         return False
-    state0 = _shared_stepper(seq.group, criterion)[0]
-    ctx = _Ctx(seq.group, (criterion,), seq.counts, False, math.inf, target_length)
-    try:
-        _dfs(ctx, [0] * seq.group.order, state0, ctx.from_mask[0], 0, None)
-    except _TargetReached:
-        return True
-    return False
+    group = seq.group
+    ctx = _Ctx(group, (criterion,), seq.counts, False, math.inf, target_length)
+    _walk(ctx, ((0,) * group.order, _shared_stepper(group, criterion)[0], ctx.from_mask[0]))
+    return not ctx.complete

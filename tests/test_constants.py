@@ -3,8 +3,9 @@ from functools import partial
 from itertools import product
 
 import pytest
-from conftest import ORACLE_GROUPS_16, oracle_lacks, random_sequence
+from conftest import ORACLE_GROUPS_16, grow_lacking, oracle_lacks, random_sequence
 
+import zerosum.search as search
 from zerosum import (
     Criterion,
     GroupSpec,
@@ -178,6 +179,31 @@ def test_exists_lacking_subsequence_matches_brute_force():
                 for target in range(len(seq) + 2):
                     got = exists_lacking_subsequence(seq, crit, target)
                     assert got == (target in lacking_lengths), (str(seq), crit, target)
+
+
+def test_exists_lacking_subsequence_stops_at_the_first_node_of_the_target_length(monkeypatch):
+    # A sequence that lacks the criterion is the first path of its own capped
+    # walk (every prefix lacks it too), so the walk asked for its full length
+    # visits the root and one node per shorter length, then stops at the
+    # first node of that length: len(seq) + 1 calls of _dfs in all.
+    calls = 0
+    dfs = search._dfs
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return dfs(*args)
+
+    monkeypatch.setattr(search, "_dfs", counted)
+    rng = random.Random(3)
+    for group in (GroupSpec.cyclic(5), GroupSpec(2, 4), GroupSpec(3, 3), GroupSpec(2, 6),
+                  GroupSpec.cyclic(12)):
+        for crit in Criterion:
+            for _ in range(12):
+                seq = grow_lacking(rng, group, crit, rng.randint(1, 8))
+                calls = 0
+                assert exists_lacking_subsequence(seq, crit, len(seq)), (str(seq), crit)
+                assert calls == len(seq) + 1, (str(seq), crit)
 
 
 def test_extremal_maximality():

@@ -493,6 +493,9 @@ def test_verify_lemma_param_validation():
         (LemmaName.TWO_M, {"m": 0}, "two-m needs m >= 2"),
         (LemmaName.INVCYC, {"n": 0}, "invcyc needs n >= 1"),
         ("noshort", {"m": 3}, "unknown lemma 'noshort'"),
+        (LemmaName.INVCYC, {"n": 3, "m": 9}, "invcyc takes no m"),
+        (LemmaName.NOSHORT, {"m": 3, "n": 50}, "noshort takes no n"),
+        (LemmaName.TWO_M, {"m": 2, "n": 1}, "two-m takes no n"),
     ):
         with pytest.raises(ValueError) as exc:
             verify_lemma(name, **kwargs)

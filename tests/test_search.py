@@ -227,7 +227,7 @@ def test_slice_subtrees(n1, n2):
             state = push(state, 0)
         top = ((pad,) + (0,) * (group.order - 1), state, (1 << group.order) - 1)
         ctx = search._Ctx(group, (padded,), None, True, 10**7)
-        ((best, best_list, nodes, complete),) = search._walk(ctx, top)
+        complete, ((best, best_list, nodes),) = search._walk(ctx, top)
         assert complete
         assert nodes == base.nodes, short
         assert best - pad == base.max_length, short
