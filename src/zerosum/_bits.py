@@ -18,14 +18,13 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .groups import GroupSpec
+from .groups import GroupSpec, image_indices
 
 
 @lru_cache(maxsize=None)
 def neg_table(group: GroupSpec) -> tuple[int, ...]:
-    """neg_table(G)[i] = index of -element_i."""
-    n1, n2 = group.n1, group.n2
-    return tuple(((n1 - i // n2) % n1) * n2 + (n2 - i % n2) % n2 for i in range(n1 * n2))
+    """neg_table(G)[i] = index of -element_i: the automorphism x -> -x."""
+    return image_indices(group, -1, 0, 0, -1)
 
 
 def shift_mask(x: int, parts_g: tuple[tuple[int, int], ...]) -> int:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .constants import check_direct_formulas, longest_lacking
 from .criteria import Criterion
-from .groups import GroupSpec
+from .groups import AUT_ENUMERATION_MAX_ORDER, GroupSpec
 from .inverse import (
     LemmaName,
     check_property,
@@ -209,7 +209,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"node budget per search (default: {DEFAULT_NODE_BUDGET:,})")
     p.add_argument("--prune", choices=["on", "off"], default="on",
                    help="automorphism orbit pruning, on wherever Aut(G) can be enumerated "
-                        "(group order <= 512); off searches every multiset")
+                        f"(group order <= {AUT_ENUMERATION_MAX_ORDER}); off searches every "
+                        "multiset")
     p.add_argument("--output", default=None, help="write results to a file instead of stdout")
 
 

@@ -446,20 +446,16 @@ def _check_noshort(m: int) -> CheckResult:
     a basis: T = f1 f2 (-x*f1 + f2) with gcd(x, m) = 1 and x <= m/2, and
     dropping any one term of T leaves a zero-sum free (m-1)-th power.
 
-    Runs on element indices, on classify()'s tables (_index_tables): on
-    C_m + C_m every basis element has order m, so (f1, f2) is a basis iff
-    its index pair is in bases, and x*f1 is read from scaled."""
-    _, add, neg, scaled, bases, _ = _index_tables(GroupSpec(m, m))
-    scaled = [(x, times) for x, times in scaled if 2 * x <= m]
+    The bases are classify()'s matches: on C_m + C_m (n = 1, so s = t = 1)
+    its ETA_A family e1^(m-1) e2^(m-1) (-x*e1 + e2)^(m-1) is T^(m-1) with
+    (f1, f2) = (e1, e2)."""
+    # Past the automorphism cap classify()'s tables refuse m before any work.
+    _index_tables(GroupSpec(m, m))
     powers = list(_lacking_powers(m, 3, Criterion.SHORT))
     x_values: set[int] = set()
     bad: list[Sequence] = []
     for power, supp in powers:
-        found = set()
-        for i1, i2 in permutations(supp, 2):
-            if (i1, i2) in bases:
-                i3 = next(i for i in supp if i not in (i1, i2))
-                found.update(x for x, times in scaled if add[i2][neg[times[i1]]] == i3)
+        found = {f.x for f in classify(power) if f.tag is FormTag.ETA_A and 2 * f.x <= m}
         x_values |= found
         if not found or not all(lacks(_drop_one(power, i, m - 1), Criterion.ANY) for i in supp):
             bad.append(power)

@@ -75,7 +75,7 @@ from operator import itemgetter
 from typing import Optional
 
 from ._bits import shift_getters
-# perfbench finds the push closures through search._stepper.
+# _Ctx calls _stepper for the one walk; perfbench finds the push closures through it.
 from .criteria import Criterion, _shared_stepper, _stepper, formula_value
 from .groups import (
     AUT_ENUMERATION_MAX_ORDER, GroupSpec, _orbit_size, aut_getters, aut_permutations,
@@ -520,11 +520,10 @@ def _can_fork() -> bool:
 def _run_forked(tasks, workers):
     """[_run_subtree(*t) for t in tasks], run by up to `workers` forked
     processes that each take the next task not yet taken until none is
-    left, then send their results in one message.  A worker that fails or
-    exits without sending makes this raise; every worker is joined before
-    it returns."""
+    left, then send their results in one message, read in turn: a worker
+    kept waiting has no task left.  A worker that fails or exits without
+    sending makes this raise; every worker is joined before it returns."""
     from multiprocessing import get_context
-    from multiprocessing.connection import wait
 
     mp = get_context("fork")
     results = [None] * len(tasks)
@@ -539,18 +538,15 @@ def _run_forked(tasks, workers):
             procs.append(proc)
             # The child holds the only send end: its exit is an EOF here.
             send.close()
-        live = list(ends)
-        while live:
-            for end in wait(live):
-                live.remove(end)
-                try:
-                    ok, out = end.recv()
-                except EOFError:
-                    raise RuntimeError("a search worker exited without its results") from None
-                if not ok:
-                    raise RuntimeError(f"a search worker failed:\n{out}")
-                for i, result in out:
-                    results[i] = result
+        for end in ends:
+            try:
+                ok, out = end.recv()
+            except EOFError:
+                raise RuntimeError("a search worker exited without its results") from None
+            if not ok:
+                raise RuntimeError(f"a search worker failed:\n{out}")
+            for i, result in out:
+                results[i] = result
     except BaseException:
         for proc in procs:
             proc.terminate()

@@ -187,6 +187,14 @@ def test_noshort_above_the_automorphism_cap_is_a_user_error(capsys):
     assert captured.out == "" and "group too large for automorphism enumeration" in captured.err
 
 
+def test_prune_help_names_the_automorphism_cap(monkeypatch, capsys):
+    # The help text reads the cap at parse time, not a copy of its value.
+    monkeypatch.setattr(cli, "AUT_ENUMERATION_MAX_ORDER", 123)
+    with pytest.raises(SystemExit):
+        main(["constants", "--help"])
+    assert "(group order <= 123)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_search_options_are_checked_for_every_command(capsys):
     # The CLI builds its SearchOptions before it runs a command, so the
     # commands that run no search reject a bad --workers or --budget too.

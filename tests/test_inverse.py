@@ -1,6 +1,8 @@
+import math
 import random
 from collections import defaultdict
 from dataclasses import replace
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -19,6 +21,7 @@ from zerosum import (
     construct,
     enumerate_extremal,
     formula_value,
+    is_basis_pair,
     lacks,
     order_of,
     parse_sequence,
@@ -26,6 +29,8 @@ from zerosum import (
     verify_lemma,
 )
 from zerosum.inverse import _form_items, _generating_pairs, _ordered_bases, _units
+
+from conftest import oracle_lacks
 
 
 def test_construct_eta_a_example():
@@ -439,6 +444,38 @@ def test_noshort_results_pinned(m, powers, x_values):
         "counterexamples": [],
         "details": {"powers_checked": powers, "x_values": x_values},
     }
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_noshort_matches_the_lemma_by_brute_force(m):
+    # The lemma from its definition, with no classify and no index tables:
+    # each T^(m-1) with |T| = 3 that lacks short zero-sums by the subset
+    # oracle, its (f1, f2, x) found by Element arithmetic, and each power
+    # with one term of T dropped zero-sum free by the oracle.
+    group = GroupSpec(m, m)
+
+    def power(ts):
+        return Sequence.from_items(group, [(t, m - 1) for t in ts])
+
+    powers, x_values, bad = 0, set(), 0
+    for terms in combinations_with_replacement(list(group.elements()), 3):
+        if not oracle_lacks(power(terms), Criterion.SHORT):
+            continue
+        powers += 1
+        found = {
+            x
+            for f1, f2, f3 in permutations(terms)
+            if is_basis_pair(f1, f2)
+            for x in range(1, m)
+            if math.gcd(x, m) == 1 and 2 * x <= m and -x * f1 + f2 == f3
+        }
+        x_values |= found
+        drops = [power(terms[:k] + terms[k + 1:]) for k in range(3)]
+        if not found or not all(oracle_lacks(d, Criterion.ANY) for d in drops):
+            bad += 1
+    res = verify_lemma(LemmaName.NOSHORT, m=m)
+    assert res.details == {"powers_checked": powers, "x_values": sorted(x_values)}
+    assert res.status == ("falsified" if bad else "verified")
 
 
 @pytest.mark.parametrize("m,powers", [(2, 1), (3, 54), (4, 192), (5, 4500)])

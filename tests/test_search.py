@@ -444,6 +444,36 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, runner, message):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("failure,message", [
+    (_raises, "subtree runner failed"),
+    (_dies, "exited without its results"),
+])
+@pytest.mark.parametrize("pick", [0, -1])
+def test_one_failed_subtree_raises_and_leaves_no_child(monkeypatch, failure, message, pick):
+    # Only the first or the last depth-4 subtree fails, so the other worker
+    # runs on and sends its results.  The parent reads the workers in turn,
+    # and which worker takes a subtree is up to the scheduler: the failed
+    # one may be read first or after the other.  Either way the search
+    # raises and joins both.
+    run_forked, run_subtree = search._run_forked, search._run_subtree
+    failing = []
+
+    def forked(tasks, workers):
+        failing.append(tasks[pick][2])  # set before the fork: the workers see it
+        return run_forked(tasks, workers)
+
+    def runner(*task):
+        if task[2] == failing[0]:
+            failure()
+        return run_subtree(*task)
+
+    monkeypatch.setattr(search, "_run_forked", forked)
+    monkeypatch.setattr(search, "_run_subtree", runner)
+    with pytest.raises(RuntimeError, match=message):
+        longest_lacking_search(GroupSpec(2, 8), Criterion.EXACT_EXP, SearchOptions(workers=2))
+    assert multiprocessing.active_children() == []
+
+
 def test_one_worker_search_never_imports_multiprocessing():
     # Forked workers load multiprocessing on demand: a fresh process that
     # imports zerosum and runs a one-worker search never loads it.
